@@ -1,11 +1,11 @@
 #include "bench/bench_json.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include "telemetry/json.hh"
 
 namespace act::bench
 {
@@ -26,190 +26,84 @@ num(double v)
     return buf;
 }
 
+using telemetry::JsonValue;
+
+/** Copy string member @p key of @p object (absent keeps the default). */
+bool
+readString(const JsonValue &object, const char *key, std::string &out)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr)
+        return true;
+    if (!value->isString())
+        return false;
+    out = value->text;
+    return true;
+}
+
+/** Copy number member @p key of @p object (absent keeps the default). */
+bool
+readNumber(const JsonValue &object, const char *key, double &out)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr)
+        return true;
+    if (!value->isNumber())
+        return false;
+    out = value->number;
+    return true;
+}
+
 /**
- * Minimal recursive-descent scanner for the subset of JSON this module
- * emits: objects, arrays, strings without escapes, numbers. It only
- * has to read files written by toJson(), but fails cleanly (returns
- * false) on anything malformed rather than asserting.
+ * Append one entry per object of array member @p key, each filled by
+ * @p read; an absent array is empty, anything but an array of
+ * objects is malformed.
  */
-class Scanner
-{
-  public:
-    explicit Scanner(const std::string &text) : text_(text) {}
-
-    bool
-    literal(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipSpace();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return false;
-        const std::size_t end = text_.find('"', pos_ + 1);
-        if (end == std::string::npos)
-            return false;
-        out = text_.substr(pos_ + 1, end - pos_ - 1);
-        pos_ = end + 1;
-        return true;
-    }
-
-    bool
-    number(double &out)
-    {
-        skipSpace();
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        out = std::strtod(start, &end);
-        if (end == start)
-            return false;
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool
-    key(std::string &out)
-    {
-        return string(out) && literal(':');
-    }
-
-    /** Skip one value of any supported type (unknown keys). */
-    bool
-    skipValue()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        const char c = text_[pos_];
-        if (c == '"') {
-            std::string s;
-            return string(s);
-        }
-        if (c == '{' || c == '[') {
-            const char close = c == '{' ? '}' : ']';
-            ++pos_;
-            if (peek(close))
-                return literal(close);
-            do {
-                if (c == '{') {
-                    std::string k;
-                    if (!key(k))
-                        return false;
-                }
-                if (!skipValue())
-                    return false;
-            } while (literal(','));
-            return literal(close);
-        }
-        double d = 0;
-        return number(d);
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
+template <typename Entry, typename Read>
 bool
-parseMicro(Scanner &scan, MicroResult &out)
+readArray(const JsonValue &root, const char *key, std::vector<Entry> &out,
+          Read read)
 {
-    if (!scan.literal('{'))
+    const JsonValue *value = root.find(key);
+    if (value == nullptr)
+        return true;
+    if (!value->isArray())
         return false;
-    if (scan.peek('}'))
-        return scan.literal('}');
-    do {
-        std::string k;
-        if (!scan.key(k))
+    for (const JsonValue &item : value->array) {
+        Entry entry;
+        if (!item.isObject() || !read(item, entry))
             return false;
-        if (k == "name") {
-            if (!scan.string(out.name))
-                return false;
-        } else if (k == "ns_per_op") {
-            if (!scan.number(out.ns_per_op))
-                return false;
-        } else if (k == "events_per_s") {
-            if (!scan.number(out.events_per_s))
-                return false;
-        } else if (k == "iterations") {
-            double d = 0;
-            if (!scan.number(d))
-                return false;
-            out.iterations = static_cast<std::uint64_t>(d);
-        } else if (!scan.skipValue()) {
-            return false;
-        }
-    } while (scan.literal(','));
-    return scan.literal('}');
+        out.push_back(std::move(entry));
+    }
+    return true;
 }
 
 bool
-parseWall(Scanner &scan, WallClockResult &out)
+readMicro(const JsonValue &object, MicroResult &out)
 {
-    if (!scan.literal('{'))
+    double iterations = 0;
+    if (!readString(object, "name", out.name) ||
+        !readNumber(object, "ns_per_op", out.ns_per_op) ||
+        !readNumber(object, "events_per_s", out.events_per_s) ||
+        !readNumber(object, "iterations", iterations))
         return false;
-    if (scan.peek('}'))
-        return scan.literal('}');
-    do {
-        std::string k;
-        if (!scan.key(k))
-            return false;
-        if (k == "name") {
-            if (!scan.string(out.name))
-                return false;
-        } else if (k == "ms") {
-            if (!scan.number(out.ms))
-                return false;
-        } else if (!scan.skipValue()) {
-            return false;
-        }
-    } while (scan.literal(','));
-    return scan.literal('}');
+    out.iterations =
+        iterations > 0 ? static_cast<std::uint64_t>(iterations) : 0;
+    return true;
 }
 
 bool
-parseTelemetry(Scanner &scan, TelemetryEntry &out)
+readWall(const JsonValue &object, WallClockResult &out)
 {
-    if (!scan.literal('{'))
-        return false;
-    if (scan.peek('}'))
-        return scan.literal('}');
-    do {
-        std::string k;
-        if (!scan.key(k))
-            return false;
-        if (k == "name") {
-            if (!scan.string(out.name))
-                return false;
-        } else if (k == "value") {
-            if (!scan.number(out.value))
-                return false;
-        } else if (!scan.skipValue()) {
-            return false;
-        }
-    } while (scan.literal(','));
-    return scan.literal('}');
+    return readString(object, "name", out.name) &&
+           readNumber(object, "ms", out.ms);
+}
+
+bool
+readTelemetry(const JsonValue &object, TelemetryEntry &out)
+{
+    return readString(object, "name", out.name) &&
+           readNumber(object, "value", out.value);
 }
 
 } // namespace
@@ -269,69 +163,19 @@ loadBenchReport(const std::string &path, BenchReport &out)
         return false;
     std::ostringstream buffer;
     buffer << file.rdbuf();
-    const std::string text = buffer.str();
 
     out = BenchReport{};
     out.schema.clear();
-    Scanner scan(text);
-    if (!scan.literal('{'))
-        return false;
-    if (scan.peek('}'))
-        return false; // An empty report is not a report.
-    do {
-        std::string k;
-        if (!scan.key(k))
-            return false;
-        if (k == "schema") {
-            if (!scan.string(out.schema))
-                return false;
-        } else if (k == "build_type") {
-            if (!scan.string(out.build_type))
-                return false;
-        } else if (k == "results") {
-            if (!scan.literal('['))
-                return false;
-            if (!scan.peek(']')) {
-                do {
-                    MicroResult r;
-                    if (!parseMicro(scan, r))
-                        return false;
-                    out.results.push_back(std::move(r));
-                } while (scan.literal(','));
-            }
-            if (!scan.literal(']'))
-                return false;
-        } else if (k == "wall_clock") {
-            if (!scan.literal('['))
-                return false;
-            if (!scan.peek(']')) {
-                do {
-                    WallClockResult w;
-                    if (!parseWall(scan, w))
-                        return false;
-                    out.wall_clock.push_back(std::move(w));
-                } while (scan.literal(','));
-            }
-            if (!scan.literal(']'))
-                return false;
-        } else if (k == "telemetry") {
-            if (!scan.literal('['))
-                return false;
-            if (!scan.peek(']')) {
-                do {
-                    TelemetryEntry t;
-                    if (!parseTelemetry(scan, t))
-                        return false;
-                    out.telemetry.push_back(std::move(t));
-                } while (scan.literal(','));
-            }
-            if (!scan.literal(']'))
-                return false;
-        } else if (!scan.skipValue()) {
-            return false;
-        }
-    } while (scan.literal(','));
-    return scan.literal('}') && out.schema == "act-bench-trend-v1";
+    // Unknown keys are skipped; parseJson bounds nesting depth, so a
+    // hostile baseline is rejected instead of exhausting the stack.
+    const auto root = telemetry::parseJson(buffer.str());
+    return root != nullptr && root->isObject() &&
+           readString(*root, "schema", out.schema) &&
+           readString(*root, "build_type", out.build_type) &&
+           readArray(*root, "results", out.results, readMicro) &&
+           readArray(*root, "wall_clock", out.wall_clock, readWall) &&
+           readArray(*root, "telemetry", out.telemetry, readTelemetry) &&
+           out.schema == "act-bench-trend-v1";
 }
 
 bool

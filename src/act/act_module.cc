@@ -34,11 +34,12 @@ checkedConfig(const ActConfig &config, const DependenceEncoder &encoder)
 ActModule::ActModule(const ActConfig &config,
                      const DependenceEncoder &encoder)
     : config_(checkedConfig(config, encoder)), encoder_(encoder.clone()),
-      network_(config.hw, config.topology), own_arena_(config_),
-      arena_(&own_arena_)
+      members_(config_.ensemble.members,
+               HwNeuralNetwork(config_.hw, config_.topology)),
+      own_arena_(config_), arena_(&own_arena_)
 {
-    for (std::size_t m = 1; m < config_.ensemble.members; ++m)
-        extras_.emplace_back(config_.hw, config_.topology);
+    for (const HwNeuralNetwork &member : members_)
+        member_ptrs_.push_back(&member);
 }
 
 bool
@@ -50,7 +51,7 @@ ActModule::weightsUsable(std::span<const double> weights) const
     // before they reach the network. Validation runs against the
     // network's current topology, which only diverges from the
     // configured one after a dynamic-topology resize.
-    return clean(validateWeights(network_.topology(), weights));
+    return clean(validateWeights(members_[0].topology(), weights));
 }
 
 void
@@ -100,50 +101,24 @@ ActModule::initThread(ThreadId tid, const WeightStore &store)
         seen != arena.quarantines_by_tid.end() &&
         seen->second >= kQuarantineEscalationThreshold;
 
-    auto weights = distrusted ? std::nullopt : store.get(tid);
-    if (weights && network_.topology().hidden != config_.topology.hidden &&
-        weights->size() != network_.weightCount()) {
-        // After a dynamic-topology resize the binary's stored sets no
-        // longer fit the network; that is a size change, not
-        // corruption, so fall back to training without quarantining.
-        weights.reset();
-    }
-    if (weights && config_.protector &&
-        config_.protector->inspect(weightSetId(tid, 0), *weights)) {
-        ++arena.stats.repaired_weight_sets;
-        static const telemetry::Counter repairs =
-            telemetry::MetricsRegistry::global().counter(
-                "act.weight_repairs");
-        repairs.inc();
-        logWarnEvent("act.weight_repair",
-                     {logField("tid", std::uint64_t{tid}),
-                      logField("member", std::uint64_t{0})});
-    }
-    const bool usable = weights && weightsUsable(*weights);
-    if (weights && !usable)
-        recordQuarantine(tid, "init");
-    if (usable) {
-        network_.loadWeights(*weights);
-        arena.mode = ActMode::kTesting;
-    } else {
-        // Default weights: the all-zero network outputs 0.5 for every
-        // input, classifying everything as (barely) valid until the
-        // first measured interval drives the module into training.
-        std::vector<double> zeros(network_.weightCount(), 0.0);
-        network_.loadWeights(zeros);
-        switchMode(ActMode::kTraining);
-    }
-
-    // Ensemble extras: each member loads its own stored set; a member
-    // with no (usable) set of its own falls back to member 0's, which
-    // degenerates that member to a unanimous copy instead of an
+    // Each member loads its own stored set. After a dynamic-topology
+    // resize the binary's sets no longer fit the network; that is a
+    // size change, not corruption, so such a set is dropped without
+    // quarantine (members 1..K-1 are always held to their size).
+    // A member >= 1 with no usable set of its own falls back to member
+    // 0's, which degenerates it to a unanimous copy instead of an
     // always-valid zero network that would starve the quorum.
-    for (std::size_t m = 1; m < memberCount(); ++m) {
-        auto mw = distrusted ? std::nullopt : store.getMember(tid, m);
-        if (mw && mw->size() != network_.weightCount())
-            mw.reset();
-        if (mw && config_.protector &&
-            config_.protector->inspect(weightSetId(tid, m), *mw)) {
+    const bool resized =
+        members_[0].topology().hidden != config_.topology.hidden;
+    const std::size_t count = members_[0].weightCount();
+    const std::vector<double> zeros(count, 0.0);
+    std::optional<std::vector<double>> primary;
+    for (std::size_t m = 0; m < memberCount(); ++m) {
+        auto weights = distrusted ? std::nullopt : store.getMember(tid, m);
+        if (weights && (m > 0 || resized) && weights->size() != count)
+            weights.reset();
+        if (weights && config_.protector &&
+            config_.protector->inspect(weightSetId(tid, m), *weights)) {
             ++arena.stats.repaired_weight_sets;
             static const telemetry::Counter repairs =
                 telemetry::MetricsRegistry::global().counter(
@@ -153,30 +128,38 @@ ActModule::initThread(ThreadId tid, const WeightStore &store)
                          {logField("tid", std::uint64_t{tid}),
                           logField("member", std::uint64_t{m})});
         }
-        const bool musable = mw && weightsUsable(*mw);
-        if (mw && !musable)
+        const bool usable = weights && weightsUsable(*weights);
+        if (weights && !usable)
             recordQuarantine(tid, "init");
-        if (musable) {
-            extras_[m - 1].loadWeights(*mw);
-        } else if (usable) {
-            extras_[m - 1].loadWeights(*weights);
+        if (usable)
+            members_[m].loadWeights(*weights);
+        else
+            members_[m].loadWeights(primary ? *primary : zeros);
+        if (m > 0)
+            continue;
+        if (usable) {
+            primary = std::move(weights);
+            arena.mode = ActMode::kTesting;
         } else {
-            std::vector<double> zeros(network_.weightCount(), 0.0);
-            extras_[m - 1].loadWeights(zeros);
+            // Default weights: the all-zero network outputs 0.5 for
+            // every input, classifying everything as (barely) valid
+            // until the first measured interval drives the module into
+            // training.
+            switchMode(ActMode::kTraining);
         }
     }
 
     arena.input.clear();
     arena.rate.resetInterval();
-    return network_.weightCount() * memberCount();
+    return count * memberCount();
 }
 
 std::vector<double>
 ActModule::saveWeights() const
 {
-    std::vector<double> all = network_.storeWeights();
-    for (const HwNeuralNetwork &extra : extras_) {
-        const std::vector<double> w = extra.storeWeights();
+    std::vector<double> all;
+    for (const HwNeuralNetwork &member : members_) {
+        const std::vector<double> w = member.storeWeights();
         all.insert(all.end(), w.begin(), w.end());
     }
     return all;
@@ -185,22 +168,16 @@ ActModule::saveWeights() const
 void
 ActModule::restoreWeights(const std::vector<double> &weights)
 {
-    const std::size_t chunk = network_.weightCount();
-    const std::size_t members = memberCount();
-    bool usable = weights.size() == chunk * members;
-    for (std::size_t m = 0; usable && m < members; ++m) {
-        usable = weightsUsable(
-            std::span<const double>(weights).subspan(m * chunk, chunk));
-    }
+    const std::size_t chunk = members_[0].weightCount();
+    const auto part = [&](std::size_t m) {
+        return std::span<const double>(weights).subspan(m * chunk, chunk);
+    };
+    bool usable = weights.size() == chunk * memberCount();
+    for (std::size_t m = 0; usable && m < memberCount(); ++m)
+        usable = weightsUsable(part(m));
     if (usable) {
-        for (std::size_t m = 0; m < members; ++m) {
-            const auto part =
-                std::span<const double>(weights).subspan(m * chunk, chunk);
-            if (m == 0)
-                network_.loadWeights(part);
-            else
-                extras_[m - 1].loadWeights(part);
-        }
+        for (std::size_t m = 0; m < memberCount(); ++m)
+            members_[m].loadWeights(part(m));
     } else {
         ++arena_->stats.quarantined_weight_sets;
         static const telemetry::Counter quarantines =
@@ -211,10 +188,9 @@ ActModule::restoreWeights(const std::vector<double> &weights)
                                                 "act", {});
         logWarnEvent("act.weight_quarantine",
                      {logField("where", "restore")});
-        std::vector<double> zeros(chunk, 0.0);
-        network_.loadWeights(zeros);
-        for (HwNeuralNetwork &extra : extras_)
-            extra.loadWeights(zeros);
+        const std::vector<double> zeros(chunk, 0.0);
+        for (HwNeuralNetwork &member : members_)
+            member.loadWeights(zeros);
         switchMode(ActMode::kTraining);
     }
     arena_->input.clear();
@@ -223,20 +199,17 @@ ActModule::restoreWeights(const std::vector<double> &weights)
 void
 ActModule::exportWeights(WeightStore &store, ThreadId tid) const
 {
-    std::vector<double> w = network_.storeWeights();
-    if (w.size() == store.weightCount())
-        store.set(tid, std::move(w));
-    for (std::size_t m = 1; m < memberCount(); ++m) {
-        std::vector<double> mw = extras_[m - 1].storeWeights();
-        if (mw.size() == store.weightCount())
-            store.setMember(tid, m, std::move(mw));
+    for (std::size_t m = 0; m < memberCount(); ++m) {
+        std::vector<double> w = members_[m].storeWeights();
+        if (w.size() == store.weightCount())
+            store.setMember(tid, m, std::move(w));
     }
 }
 
 void
 ActModule::flushPipeline()
 {
-    network_.flush();
+    members_[0].flush();
 }
 
 void
@@ -258,13 +231,12 @@ ActModule::switchMode(ActMode next)
 void
 ActModule::resizeHidden(std::size_t hidden)
 {
-    const std::size_t before = network_.topology().hidden;
+    const std::size_t before = members_[0].topology().hidden;
     if (hidden == before || hidden == 0)
         return;
     const Topology next{config_.topology.inputs, hidden};
-    network_.setTopology(next); // zeroes the weights
-    for (HwNeuralNetwork &extra : extras_)
-        extra.setTopology(next);
+    for (HwNeuralNetwork &member : members_)
+        member.setTopology(next); // zeroes the weights
     if (hidden > before)
         ++arena_->stats.topology_grows;
     else
@@ -294,16 +266,16 @@ ActModule::onIntervalComplete()
     const ModeDecision decision = modeControllerStep(
         config_.controller, config_.misprediction_threshold, arena.ctl,
         arena.mode == ActMode::kTraining, arena.rate.lastRate(),
-        network_.topology().hidden, max_hidden);
+        members_[0].topology().hidden, max_hidden);
     if (decision.dwell_suppressed)
         ++arena.stats.dwell_suppressed_switches;
     if (decision.switch_mode) {
         switchMode(arena.mode == ActMode::kTesting ? ActMode::kTraining
                                                    : ActMode::kTesting);
     } else if (decision.grow) {
-        resizeHidden(network_.topology().hidden + 1);
+        resizeHidden(members_[0].topology().hidden + 1);
     } else if (decision.shrink) {
-        resizeHidden(network_.topology().hidden - 1);
+        resizeHidden(members_[0].topology().hidden - 1);
     }
 }
 
@@ -313,32 +285,20 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
 {
     ActOutcome outcome;
     ActArena &arena = *arena_;
-    ++arena.stats.dependences;
-    if (arena.mode == ActMode::kTraining)
+    const bool training = arena.mode == ActMode::kTraining;
+    if (training)
         ++arena.stats.training_dependences;
-
-    if (config_.faults && config_.faults->dropInputDependence()) {
-        // Injected Input Generator fault: the dependence never reaches
-        // the buffer, as if the hardware write port glitched.
-        ++arena.stats.input_drops_injected;
+    if (!stage(dep))
         return outcome;
-    }
-    if (arena.input.push(dep))
-        ++arena.stats.input_buffer_overwrites;
-    if (!arena.input.lastSequence(config_.sequence_length,
-                                  arena.seq_scratch))
-        return outcome;
-    const DependenceSequence &sequence = arena.seq_scratch;
 
     // Timing: the load retires only once the input FIFO accepts the
     // sequence. A full FIFO stalls it (Section III-C / IV-A). The
     // ensemble shares the M-neuron bank, so one acceptance covers all
     // members — the budget check in validateActConfig guarantees they
     // fit side by side.
-    const bool training = arena.mode == ActMode::kTraining;
     Cycle now = cycle;
     for (;;) {
-        const AcceptResult accepted = network_.offer(now, training);
+        const AcceptResult accepted = members_[0].offer(now, training);
         if (accepted.accepted)
             break;
         ++arena.stats.stalled_offers;
@@ -348,79 +308,105 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
         now = accepted.retry_at;
     }
 
-    // Function: classify the sequence (and learn from it in training
-    // mode).
-    encoder_->encodeSequenceInto(sequence, arena.input_scratch);
+    // Function: every member classifies the sequence. In training mode
+    // all dependences are presumed valid, so each member learns the
+    // ones it would have rejected; the commit then re-reads member 0's
+    // raw output from the updated weights, as the hardware would log
+    // it after the back-propagation pass.
     const std::vector<double> &inputs = arena.input_scratch;
+    inferEnsembleFlat(member_ptrs_, inputs, inputs.size(), 1, outputs_,
+                      member_scratch_);
+    if (training) {
+        for (std::size_t m = 0; m < memberCount(); ++m) {
+            if (outputs_[m] < 0.5) {
+                members_[m].train(inputs, 1.0, config_.learning_rate);
+                ++arena.stats.train_updates;
+            }
+        }
+    }
     outcome.classified = true;
-    ++arena.stats.predictions;
+    outcome.output = outputs_[0];
+    outcome.predicted_invalid =
+        commit(arena.seq_scratch, inputs, outputs_, tid).predicted_invalid;
+    return outcome;
+}
 
-    double output = 0.0;
-    double raw = 0.0;
-    if (extras_.empty()) {
-        if (training) {
-            // All dependences are presumed valid; the network learns
-            // the ones it would have rejected.
-            output = network_.infer(inputs);
-            if (output < 0.5) {
-                network_.train(inputs, 1.0, config_.learning_rate);
-                ++arena.stats.train_updates;
-            }
-        } else {
-            output = network_.inferWithRaw(inputs, raw);
-        }
-        outcome.predicted_invalid = output < 0.5;
-    } else {
-        // Ensemble: every member classifies (and, in training mode,
-        // learns) independently; the suspect flag is the quorum vote.
-        std::size_t votes = 0;
-        if (training) {
-            output = network_.infer(inputs);
-            if (output < 0.5) {
-                ++votes;
-                network_.train(inputs, 1.0, config_.learning_rate);
-                ++arena.stats.train_updates;
-            }
-            for (HwNeuralNetwork &extra : extras_) {
-                if (extra.infer(inputs) < 0.5) {
-                    ++votes;
-                    extra.train(inputs, 1.0, config_.learning_rate);
-                    ++arena.stats.train_updates;
-                }
-            }
-        } else {
-            output = network_.inferWithRaw(inputs, raw);
-            if (output < 0.5)
-                ++votes;
-            for (const HwNeuralNetwork &extra : extras_) {
-                if (extra.infer(inputs) < 0.5)
-                    ++votes;
-            }
-        }
-        outcome.predicted_invalid = votes >= quorum();
-        accountVotes(arena, votes, output < 0.5,
+bool
+ActModule::stageDependence(const RawDependence &dep)
+{
+    // The split-phase path has no training half: commits never touch
+    // the weight registers, which is what lets many arenas share one
+    // engine. Callers keep the module in testing mode by construction
+    // (the fleet pins the rate interval unreachably long).
+    ACT_ASSERT(arena_->mode == ActMode::kTesting);
+    return stage(dep);
+}
+
+StagedOutcome
+ActModule::commitEnsemble(const DependenceSequence &sequence,
+                          std::span<const double> inputs,
+                          std::span<const double> outputs, ThreadId tid)
+{
+    ACT_ASSERT(arena_->mode == ActMode::kTesting);
+    ACT_ASSERT(outputs.size() == memberCount());
+    return commit(sequence, inputs, outputs, tid);
+}
+
+bool
+ActModule::stage(const RawDependence &dep)
+{
+    ActArena &arena = *arena_;
+    ++arena.stats.dependences;
+    if (config_.faults && config_.faults->dropInputDependence()) {
+        // Injected Input Generator fault: the dependence never reaches
+        // the buffer, as if the hardware write port glitched.
+        ++arena.stats.input_drops_injected;
+        return false;
+    }
+    if (arena.input.push(dep))
+        ++arena.stats.input_buffer_overwrites;
+    if (!arena.input.lastSequence(config_.sequence_length,
+                                  arena.seq_scratch))
+        return false;
+    encoder_->encodeSequenceInto(arena.seq_scratch, arena.input_scratch);
+    return true;
+}
+
+StagedOutcome
+ActModule::commit(const DependenceSequence &sequence,
+                  std::span<const double> inputs,
+                  std::span<const double> outputs, ThreadId tid)
+{
+    ActArena &arena = *arena_;
+    StagedOutcome outcome;
+    ++arena.stats.predictions;
+    std::size_t votes = 0;
+    for (const double output : outputs) {
+        if (output < 0.5)
+            ++votes;
+    }
+    outcome.predicted_invalid = votes >= quorum();
+    if (memberCount() > 1) {
+        accountVotes(arena, votes, outputs[0] < 0.5,
                      outcome.predicted_invalid);
     }
-    outcome.output = output;
 
     if (outcome.predicted_invalid) {
         ++arena.stats.predicted_invalid;
         // The Debug Buffer records the raw accumulator value: the
         // ranking tie-break wants "the most negative output", which
-        // the saturated sigmoid cannot resolve. In training mode the
-        // weights just moved, so the raw value is re-read from the
-        // updated network (matching what the hardware would log after
-        // the back-propagation pass); in testing mode the forward pass
-        // already produced it.
+        // the saturated sigmoid cannot resolve. Flagged sequences are
+        // rare (the whole premise of the Debug Buffer), so the re-read
+        // — a pure forward pass over member 0 — stays off the common
+        // path.
+        outcome.raw = members_[0].rawOutput(inputs);
         if (config_.faults && config_.faults->dropDebugLog()) {
             // Injected Debug Buffer fault: the flagged sequence is
             // silently lost before it can be logged.
             ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(
-                       DebugEntry{sequence,
-                                  training ? network_.rawOutput(inputs)
-                                           : raw,
-                                  arena.stats.predictions, tid})) {
+        } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,
+                                              arena.stats.predictions,
+                                              tid})) {
             ++arena.stats.debug_buffer_overwrites;
         }
     }
@@ -446,101 +432,6 @@ ActModule::accountVotes(ActArena &arena, std::size_t votes,
     const double beta = config_.ensemble.health_beta;
     arena.ensemble_health = (1.0 - beta) * arena.ensemble_health +
                             beta * (unanimous ? 1.0 : 0.0);
-}
-
-bool
-ActModule::stageDependence(const RawDependence &dep)
-{
-    ActArena &arena = *arena_;
-    // The split-phase path has no training half: commits never touch
-    // the weight registers, which is what lets many arenas share one
-    // engine. Callers keep the module in testing mode by construction
-    // (the fleet pins the rate interval unreachably long).
-    ACT_ASSERT(arena.mode == ActMode::kTesting);
-    ++arena.stats.dependences;
-
-    if (config_.faults && config_.faults->dropInputDependence()) {
-        ++arena.stats.input_drops_injected;
-        return false;
-    }
-    if (arena.input.push(dep))
-        ++arena.stats.input_buffer_overwrites;
-    if (!arena.input.lastSequence(config_.sequence_length,
-                                  arena.seq_scratch))
-        return false;
-    encoder_->encodeSequenceInto(arena.seq_scratch, arena.input_scratch);
-    return true;
-}
-
-StagedOutcome
-ActModule::commitPrediction(const DependenceSequence &sequence,
-                            std::span<const double> inputs, double output,
-                            ThreadId tid)
-{
-    ActArena &arena = *arena_;
-    ACT_ASSERT(arena.mode == ActMode::kTesting);
-    StagedOutcome outcome;
-    ++arena.stats.predictions;
-    outcome.predicted_invalid = output < 0.5;
-
-    if (outcome.predicted_invalid) {
-        ++arena.stats.predicted_invalid;
-        // Flagged sequences are rare (the whole premise of the Debug
-        // Buffer), so the raw accumulator re-read — a pure forward
-        // pass over the same weights the batch inference used — stays
-        // off the common path.
-        outcome.raw = network_.rawOutput(inputs);
-        if (config_.faults && config_.faults->dropDebugLog()) {
-            ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,
-                                              arena.stats.predictions,
-                                              tid})) {
-            ++arena.stats.debug_buffer_overwrites;
-        }
-    }
-
-    if (arena.rate.record(outcome.predicted_invalid))
-        onIntervalComplete();
-    return outcome;
-}
-
-StagedOutcome
-ActModule::commitEnsemble(const DependenceSequence &sequence,
-                          std::span<const double> inputs,
-                          std::span<const double> outputs, ThreadId tid)
-{
-    ACT_ASSERT(outputs.size() == memberCount());
-    if (extras_.empty())
-        return commitPrediction(sequence, inputs, outputs[0], tid);
-
-    ActArena &arena = *arena_;
-    ACT_ASSERT(arena.mode == ActMode::kTesting);
-    StagedOutcome outcome;
-    ++arena.stats.predictions;
-    std::size_t votes = 0;
-    for (const double output : outputs) {
-        if (output < 0.5)
-            ++votes;
-    }
-    outcome.predicted_invalid = votes >= quorum();
-    accountVotes(arena, votes, outputs[0] < 0.5,
-                 outcome.predicted_invalid);
-
-    if (outcome.predicted_invalid) {
-        ++arena.stats.predicted_invalid;
-        outcome.raw = network_.rawOutput(inputs);
-        if (config_.faults && config_.faults->dropDebugLog()) {
-            ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,
-                                              arena.stats.predictions,
-                                              tid})) {
-            ++arena.stats.debug_buffer_overwrites;
-        }
-    }
-
-    if (arena.rate.record(outcome.predicted_invalid))
-        onIntervalComplete();
-    return outcome;
 }
 
 } // namespace act

@@ -174,19 +174,15 @@ class ActModule
     const ActModuleStats &stats() const { return arena_->stats; }
     const DebugBuffer &debugBuffer() const { return arena_->debug; }
     DebugBuffer &debugBuffer() { return arena_->debug; }
-    const HwNeuralNetwork &network() const { return network_; }
+    const HwNeuralNetwork &network() const { return members_[0]; }
 
     // --- Ensemble ---------------------------------------------------
 
     /** Member networks (1 = dormant single-network module). */
-    std::size_t memberCount() const { return 1 + extras_.size(); }
+    std::size_t memberCount() const { return members_.size(); }
 
     /** Member @p m's network (member 0 is the primary). */
-    const HwNeuralNetwork &
-    member(std::size_t m) const
-    {
-        return m == 0 ? network_ : extras_[m - 1];
-    }
+    const HwNeuralNetwork &member(std::size_t m) const { return members_[m]; }
 
     /** Invalid votes needed to flag a sequence. */
     std::size_t
@@ -252,7 +248,10 @@ class ActModule
     void flushPipeline();
 
     /**
-     * Process one RAW dependence produced by a completed load.
+     * Process one RAW dependence produced by a completed load: stage
+     * it, wait for the input FIFO (the timing model), classify the
+     * sequence with every member as a batch of one, let each member
+     * that rejected it learn in training mode, then commit.
      *
      * @param dep   The dependence (S -> L).
      * @param tid   Thread executing the load.
@@ -268,11 +267,11 @@ class ActModule
      * timing model: push the dependence through the input ring and,
      * when a full sequence forms, encode it into the arena scratch
      * (stagedSequence()/stagedInputs()). The caller then obtains the
-     * network activation — typically via HwNeuralNetwork::inferBatch
-     * over many staged sequences at once — and applies it with
-     * commitPrediction(). stage+commit is bit-equivalent to the
-     * function half of onDependence because the testing-mode forward
-     * pass is pure.
+     * member activations — typically via inferEnsembleFlat over many
+     * staged sequences at once — and applies them with
+     * commitEnsemble(), the same commit onDependence runs. The split
+     * is bit-equivalent to onDependence because the testing-mode
+     * forward pass is pure.
      *
      * @return true when a full sequence was staged.
      */
@@ -292,28 +291,41 @@ class ActModule
 
     /**
      * Second half: account a prediction for a previously staged
-     * sequence. @p inputs must be the staged encoding (for the raw
-     * read-back of flagged sequences) and @p output the activation the
-     * batch inference produced for it. Commits for one arena must
-     * arrive in staging order.
-     */
-    StagedOutcome commitPrediction(const DependenceSequence &sequence,
-                                   std::span<const double> inputs,
-                                   double output, ThreadId tid);
-
-    /**
-     * Ensemble variant of commitPrediction: @p outputs carries one
-     * activation per member (member-major, as produced by
-     * inferEnsembleFlat) for the staged sequence. The suspect flag is
-     * the quorum vote; the Debug Buffer raw value still comes from
-     * member 0. With one member this is exactly commitPrediction.
+     * sequence (testing mode only). @p inputs must be the staged
+     * encoding (for the raw read-back of flagged sequences) and
+     * @p outputs one activation per member, in member order, as
+     * inferEnsembleFlat produces them. The suspect flag is the quorum
+     * vote; the Debug Buffer raw value comes from member 0. Commits
+     * for one arena must arrive in staging order.
      */
     StagedOutcome commitEnsemble(const DependenceSequence &sequence,
                                  std::span<const double> inputs,
                                  std::span<const double> outputs,
                                  ThreadId tid);
 
+    /** commitEnsemble for a single-member module's one activation. */
+    StagedOutcome
+    commitPrediction(const DependenceSequence &sequence,
+                     std::span<const double> inputs, double output,
+                     ThreadId tid)
+    {
+        return commitEnsemble(sequence, inputs, {&output, 1}, tid);
+    }
+
   private:
+    /** Count, fault-filter, buffer and (on a full sequence) encode
+     *  @p dep into the arena scratch. */
+    bool stage(const RawDependence &dep);
+
+    /**
+     * The commit: quorum vote over @p outputs, vote accounting with
+     * more than one member, Debug Buffer logging with member 0's raw
+     * read-back for a flagged sequence, then the interval rate.
+     */
+    StagedOutcome commit(const DependenceSequence &sequence,
+                         std::span<const double> inputs,
+                         std::span<const double> outputs, ThreadId tid);
+
     void switchMode(ActMode next);
 
     /** Run the mode controller on a just-completed interval. */
@@ -327,7 +339,7 @@ class ActModule
     void recordQuarantine(ThreadId tid, const char *where);
 
     /** Ensemble vote accounting: disagreements, quorum overrides and
-     *  the agreement-health EWMA. Only called with extra members. */
+     *  the agreement-health EWMA. Only called with several members. */
     void accountVotes(ActArena &arena, std::size_t votes,
                       bool member0_invalid, bool flagged);
 
@@ -337,10 +349,14 @@ class ActModule
 
     ActConfig config_;
     std::unique_ptr<DependenceEncoder> encoder_;
-    HwNeuralNetwork network_;
 
-    /** Ensemble members 1..K-1 (empty on a dormant module). */
-    std::vector<HwNeuralNetwork> extras_;
+    /** Member networks; member 0 is the primary and carries the
+     *  timing model (one size-1 vector on a dormant module). */
+    std::vector<HwNeuralNetwork> members_;
+    std::vector<const HwNeuralNetwork *> member_ptrs_; //!< Same, by address.
+
+    std::vector<double> outputs_;        //!< onDependence activations.
+    std::vector<double> member_scratch_; //!< inferEnsembleFlat scratch.
 
     ActArena own_arena_;
     ActArena *arena_;

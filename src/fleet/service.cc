@@ -338,10 +338,12 @@ class ShardWorker
         if (pending_.empty())
             return;
         const std::size_t k = module_.memberCount();
-        if (k == 1) {
-            module_.network().inferBatchFlat(flat_, width_,
-                                             pending_.size(), outputs_);
-        } else {
+        {
+            telemetry::ScopedSpan span("nn.infer_batch", "nn");
+            span.annotate(telemetry::arg(
+                "batch", static_cast<std::uint64_t>(pending_.size())));
+            span.annotate(
+                telemetry::arg("k", static_cast<std::uint64_t>(k)));
             inferEnsembleFlat(members_, flat_, width_, pending_.size(),
                               outputs_, member_scratch_);
         }
@@ -354,14 +356,10 @@ class ShardWorker
                 const auto inputs =
                     std::span<const double>(flat_).subspan(i * width_,
                                                            width_);
-                const StagedOutcome outcome =
-                    k == 1 ? module_.commitPrediction(
-                                 p.sequence, inputs, outputs_[i], p.tid)
-                           : module_.commitEnsemble(
-                                 p.sequence, inputs,
-                                 std::span<const double>(outputs_)
-                                     .subspan(i * k, k),
-                                 p.tid);
+                const StagedOutcome outcome = module_.commitEnsemble(
+                    p.sequence, inputs,
+                    std::span<const double>(outputs_).subspan(i * k, k),
+                    p.tid);
                 if (outcome.predicted_invalid) {
                     ++flagged;
                     const RawDependence &last = p.sequence.deps.back();

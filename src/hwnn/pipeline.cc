@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "telemetry/spans.hh"
 
 namespace act
 {
@@ -95,59 +94,18 @@ HwNeuralNetwork::forwardFixed() const
                           topology_.hidden);
 }
 
-double
-HwNeuralNetwork::infer(std::span<const double> inputs) const
-{
-    toFixed(inputs);
-    return sigmoid_.lookup(forwardFixed()).toDouble();
-}
-
-void
-HwNeuralNetwork::inferBatch(std::span<const std::vector<double>> batch,
-                            std::vector<double> &outputs) const
-{
-    telemetry::ScopedSpan span("nn.infer_batch", "nn");
-    span.annotate(telemetry::arg(
-        "batch", static_cast<std::uint64_t>(batch.size())));
-    outputs.clear();
-    outputs.reserve(batch.size());
-    for (const auto &inputs : batch) {
-        toFixed(inputs);
-        outputs.push_back(sigmoid_.lookup(forwardFixed()).toDouble());
-    }
-}
-
 void
 HwNeuralNetwork::inferBatchFlat(std::span<const double> flat,
                                 std::size_t width, std::size_t count,
                                 std::vector<double> &outputs) const
 {
     ACT_ASSERT(flat.size() == width * count);
-    telemetry::ScopedSpan span("nn.infer_batch", "nn");
-    span.annotate(
-        telemetry::arg("batch", static_cast<std::uint64_t>(count)));
     outputs.clear();
     outputs.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         toFixed(flat.subspan(i * width, width));
         outputs.push_back(sigmoid_.lookup(forwardFixed()).toDouble());
     }
-}
-
-double
-HwNeuralNetwork::confidence(std::span<const double> inputs) const
-{
-    return infer(inputs) - 0.5;
-}
-
-double
-HwNeuralNetwork::inferWithRaw(std::span<const double> inputs,
-                              double &raw) const
-{
-    toFixed(inputs);
-    const HwFixed acc = forwardFixed();
-    raw = acc.toDouble();
-    return sigmoid_.lookup(acc).toDouble();
 }
 
 double

@@ -70,42 +70,18 @@ class HwNeuralNetwork
 
     // --- Functional interface -------------------------------------
 
-    /** Forward pass; output activation in (0, 1). */
-    double infer(std::span<const double> inputs) const;
-
     /**
-     * Evaluate a whole queue of input vectors in one pass — the
-     * per-drain batch path: instead of touching the weight file once
-     * per load, the drain walks every queued sequence against the
-     * weights while they are hot. Bit-identical to calling infer() on
-     * each element in order (the forward pass is pure), appending one
-     * output per element to @p outputs (cleared first).
-     */
-    void inferBatch(std::span<const std::vector<double>> batch,
-                    std::vector<double> &outputs) const;
-
-    /**
-     * Same batch pass over a flat buffer of @p count input vectors of
-     * @p width doubles each, packed back to back — the layout the
-     * fleet batcher accumulates into, sparing one heap vector per
-     * staged sequence. Bit-identical to the vector-of-vectors
-     * overload (both reduce to per-element infer()).
+     * The forward-pass kernel: evaluate @p count input vectors of
+     * @p width doubles each, packed back to back in @p flat, appending
+     * one output activation in (0, 1) per vector to @p outputs
+     * (cleared first). A single inference is a batch of one; a drain
+     * walks every queued sequence against the weights while they are
+     * hot. The forward pass is pure, so item i's output does not
+     * depend on the rest of the batch.
      */
     void inferBatchFlat(std::span<const double> flat, std::size_t width,
                         std::size_t count,
                         std::vector<double> &outputs) const;
-
-    /** Signed confidence, infer() - 0.5. */
-    double confidence(std::span<const double> inputs) const;
-
-    /**
-     * One forward pass yielding both the activation (returned) and the
-     * output neuron's pre-sigmoid accumulator (@p raw). Bit-identical
-     * to calling infer() and rawOutput() separately, at half the
-     * weight-file traffic — the AM's testing-mode path logs the raw
-     * value for every flagged sequence.
-     */
-    double inferWithRaw(std::span<const double> inputs, double &raw) const;
 
     /**
      * The output neuron's raw accumulator value (pre-sigmoid). The
@@ -114,11 +90,6 @@ class HwNeuralNetwork
      * ranking tie-break ("the most negative output first") needs.
      */
     double rawOutput(std::span<const double> inputs) const;
-
-    bool predictValid(std::span<const double> inputs) const
-    {
-        return infer(inputs) >= 0.5;
-    }
 
     /** One fixed-point back-propagation step; returns prior output. */
     double train(std::span<const double> inputs, double target,
@@ -217,9 +188,8 @@ class HwNeuralNetwork
  * item-major with the member index fastest — activations for item i
  * occupy outputs[i*K .. i*K+K-1] in member order, the exact span
  * ActModule::commitEnsemble consumes. Each member runs its own
- * inferBatchFlat (weights stay hot per member; bit-identical per
- * member to per-element infer()); @p scratch avoids re-allocating the
- * per-member output buffer across flushes.
+ * inferBatchFlat (weights stay hot per member); @p scratch avoids
+ * re-allocating the per-member output buffer across flushes.
  */
 void inferEnsembleFlat(std::span<const HwNeuralNetwork *const> members,
                        std::span<const double> flat, std::size_t width,

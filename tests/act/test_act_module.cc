@@ -71,6 +71,16 @@ trainedWeights()
     return net.weights();
 }
 
+/** The module's staged sequence through member 0: a batch of one. */
+double
+inferStaged(const ActModule &module)
+{
+    const std::vector<double> &inputs = module.stagedInputs();
+    std::vector<double> out;
+    module.network().inferBatchFlat(inputs, inputs.size(), 1, out);
+    return out[0];
+}
+
 WeightStore
 trainedStore()
 {
@@ -351,8 +361,7 @@ TEST(ActModule, StagedCommitMatchesOnDependence)
         ASSERT_EQ(formed, ref.classified);
         if (!formed)
             continue;
-        const double output =
-            staged.network().infer(staged.stagedInputs());
+        const double output = inferStaged(staged);
         const StagedOutcome outcome = staged.commitPrediction(
             staged.stagedSequence(), staged.stagedInputs(), output, 1);
         EXPECT_EQ(output, ref.output);
@@ -397,7 +406,7 @@ TEST(ActModule, BoundArenasIsolateInterleavedStreams)
         mux.bindArena(&arena);
         if (!mux.stageDependence(dep))
             return;
-        const double output = mux.network().infer(mux.stagedInputs());
+        const double output = inferStaged(mux);
         mux.commitPrediction(mux.stagedSequence(), mux.stagedInputs(),
                              output, 0);
     };

@@ -44,23 +44,14 @@ pseudoDep(std::uint64_t &seed, std::size_t i)
 }
 
 /**
- * Differential pin: drive a fully dormant module through 20000
+ * Drive @p module (thread 0 already initialised) through 20000
  * deterministic dependences and hash every observable — per-dep
  * output bits, classification, flag, mode, final counters, Debug
- * Buffer contents. The constant was generated on the pre-Adaptivity
- * code path; any drift in the K=1/legacy-latch behaviour (ensemble
- * refactor, mode controller, weight protection hook) breaks it.
+ * Buffer contents.
  */
-TEST(EnsembleDifferential, DormantModuleMatchesGoldenHash)
+std::uint64_t
+onDependenceHash(ActModule &module)
 {
-    ActConfig config;
-    config.interval_length = 50; // Small, so mode switches happen.
-    PairEncoder encoder;
-    ActModule module(config, encoder);
-    WeightStore store(config.topology);
-    store.set(0, pseudoWeights(store.weightCount(), 0x5eedULL));
-    module.initThread(0, store);
-
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
     std::uint64_t seed = 0xac7f00dULL;
@@ -87,7 +78,110 @@ TEST(EnsembleDifferential, DormantModuleMatchesGoldenHash)
         mix(bits);
         mix(e.when);
     }
-    EXPECT_EQ(h, 0x8e60fdaafd3b7bb6ULL);
+    return h;
+}
+
+/**
+ * Fold the ensemble-only observables of @p module into @p h: vote
+ * accounting, topology changes, the live hidden size and every member's
+ * weight registers.
+ */
+std::uint64_t
+ensembleHash(std::uint64_t h, const ActModule &module)
+{
+    const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    const ActModuleStats &st = module.stats();
+    mix(st.ensemble_disagreements);
+    mix(st.quorum_overrides);
+    mix(st.topology_grows);
+    mix(st.topology_shrinks);
+    mix(st.dwell_suppressed_switches);
+    mix(module.network().topology().hidden);
+    std::uint64_t bits = 0;
+    const double health = module.ensembleHealth();
+    std::memcpy(&bits, &health, sizeof(bits));
+    mix(bits);
+    for (const double w : module.saveWeights()) {
+        std::memcpy(&bits, &w, sizeof(bits));
+        mix(bits);
+    }
+    return h;
+}
+
+/**
+ * Differential pin: a fully dormant module (one member, legacy latch,
+ * no protector). The constant was generated on the pre-Adaptivity
+ * code path; any drift in the K=1/legacy-latch behaviour (ensemble
+ * refactor, mode controller, weight protection hook) breaks it.
+ */
+TEST(EnsembleDifferential, DormantModuleMatchesGoldenHash)
+{
+    ActConfig config;
+    config.interval_length = 50; // Small, so mode switches happen.
+    PairEncoder encoder;
+    ActModule module(config, encoder);
+    WeightStore store(config.topology);
+    store.set(0, pseudoWeights(store.weightCount(), 0x5eedULL));
+    module.initThread(0, store);
+    EXPECT_EQ(onDependenceHash(module), 0x8e60fdaafd3b7bb6ULL);
+}
+
+/** Three distinct member sets for thread 0 of a {6, hidden} store. */
+WeightStore
+trioStore(std::size_t hidden)
+{
+    WeightStore store(Topology{6, hidden});
+    store.set(0, pseudoWeights(store.weightCount(), 0x5eedULL));
+    store.setMember(0, 1, pseudoWeights(store.weightCount(), 0x5eeeULL));
+    store.setMember(0, 2, pseudoWeights(store.weightCount(), 0x5eefULL));
+    return store;
+}
+
+/**
+ * Ensemble pin: K=3 split-vote members under the legacy latch, with an
+ * interval short enough that the module trains and switches modes.
+ * Pins the per-member training, quorum vote, vote accounting and
+ * member-0 raw read-back of onDependence. The constant was generated
+ * before the ensemble path was folded into the single commit.
+ */
+TEST(EnsembleDifferential, TrioModuleMatchesGoldenHash)
+{
+    ActConfig config;
+    config.topology = Topology{6, 3};
+    config.ensemble.members = 3;
+    config.interval_length = 50;
+    PairEncoder encoder;
+    ActModule module(config, encoder);
+    module.initThread(0, trioStore(3));
+    const std::uint64_t h = ensembleHash(onDependenceHash(module), module);
+    EXPECT_GT(module.stats().mode_switches, 0u);
+    EXPECT_GT(module.stats().train_updates, 0u);
+    EXPECT_GT(module.stats().ensemble_disagreements, 0u);
+    EXPECT_EQ(h, 0xb2123a3857c5935bULL);
+}
+
+/**
+ * Self-tuning ensemble pin: as above, with the EWMA controller and
+ * dynamic topology on, so the grow/shrink path resizes every member.
+ */
+TEST(EnsembleDifferential, SelfTuningTrioMatchesGoldenHash)
+{
+    ActConfig config;
+    config.topology = Topology{6, 2};
+    config.ensemble.members = 3;
+    config.interval_length = 50;
+    config.controller.self_tuning = true;
+    config.controller.dynamic_topology = true;
+    config.controller.grow_patience = 2;
+    config.controller.shrink_patience = 4;
+    config.controller.min_hidden = 1;
+    PairEncoder encoder;
+    ActModule module(config, encoder);
+    module.initThread(0, trioStore(2));
+    const std::uint64_t h = ensembleHash(onDependenceHash(module), module);
+    EXPECT_GT(module.stats().topology_grows, 0u);
+    EXPECT_GT(module.stats().topology_shrinks, 0u);
+    EXPECT_EQ(h, 0xf71d951c58311564ULL);
 }
 
 /** Ensemble config sized within the M = 10 neuron budget. */

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fleet/service.hh"
+#include "telemetry/json.hh"
+#include "telemetry/spans.hh"
 #include "workloads/kernel.hh"
 #include "workloads/workload.hh"
 
@@ -92,6 +96,65 @@ TEST(FleetService, MemFrontEndIsAlsoShardInvariant)
     const std::string batch =
         replayFleetBatch(config).report.toText(config.top_k);
     EXPECT_EQ(streamed, batch);
+}
+
+/** (batch, k) annotations of every nn.infer_batch span @p tracer holds. */
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+inferBatchSpans(const telemetry::SpanTracer &tracer)
+{
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+    const auto root = telemetry::parseJson(tracer.chromeJson());
+    if (root == nullptr || root->find("traceEvents") == nullptr) {
+        ADD_FAILURE() << "unparsable span export";
+        return spans;
+    }
+    for (const auto &event : root->find("traceEvents")->array) {
+        const telemetry::JsonValue *name = event.find("name");
+        if (name == nullptr || name->text != "nn.infer_batch")
+            continue;
+        const telemetry::JsonValue *args = event.find("args");
+        if (args == nullptr || args->find("batch") == nullptr ||
+            args->find("k") == nullptr) {
+            ADD_FAILURE() << "nn.infer_batch span without batch/k args";
+            continue;
+        }
+        spans.emplace_back(args->find("batch")->asU64(),
+                           args->find("k")->asU64());
+    }
+    return spans;
+}
+
+TEST(FleetService, OneInferBatchSpanPerFlushedBatch)
+{
+    // The batch replay drives one shard, which flushes on every full
+    // batch and once more for the remainder: with the tracer on, each
+    // flush is one span covering the whole batch; dormant, none.
+    telemetry::SpanTracer &tracer = telemetry::SpanTracer::global();
+    for (const std::uint32_t k : {1u, 2u}) {
+        FleetConfig config = smallConfig();
+        config.ensemble_members = k;
+
+        tracer.clear();
+        tracer.setEnabled(true);
+        const FleetResult traced = replayFleetBatch(config);
+        tracer.setEnabled(false);
+        const auto spans = inferBatchSpans(tracer);
+        const std::uint64_t predictions = traced.report.totals.predictions;
+        ASSERT_GT(predictions, config.batch_max);
+        EXPECT_EQ(spans.size(),
+                  (predictions + config.batch_max - 1) / config.batch_max);
+        std::uint64_t covered = 0;
+        for (const auto &[batch, members] : spans) {
+            EXPECT_LE(batch, config.batch_max);
+            EXPECT_EQ(members, k);
+            covered += batch;
+        }
+        EXPECT_EQ(covered, predictions);
+
+        tracer.clear();
+        replayFleetBatch(config);
+        EXPECT_EQ(tracer.eventCount(), 0u);
+    }
 }
 
 TEST(FleetService, ReportCountsMatchTheOfferedLoad)

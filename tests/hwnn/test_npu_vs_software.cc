@@ -8,14 +8,15 @@
  * and weight sets. Two layers of guarantee: (1) with weights quantised
  * to Q15.16 on both sides, the hardware output stays within the sigmoid
  * table's resolution of the software output on every topology the AM
- * can configure (inputs, hidden <= M = 10); (2) inferBatch and
- * inferWithRaw are bit-identical to the scalar infer/rawOutput path —
- * batching is a traffic optimisation, never a numerics change.
+ * can configure (inputs, hidden <= M = 10); (2) every item of a batch
+ * is bit-identical to a batch of one holding that item — batching is
+ * a traffic optimisation, never a numerics change.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -35,6 +36,15 @@ defaultHw()
     config.neuron.muladd_units = 2;
     config.fifo_entries = 8;
     return config;
+}
+
+/** One inference: a batch of one. */
+double
+inferOne(const HwNeuralNetwork &hw, std::span<const double> in)
+{
+    std::vector<double> out;
+    hw.inferBatchFlat(in, in.size(), 1, out);
+    return out[0];
 }
 
 /** Draw a weight in [-2, 2] pre-quantised to what Q15.16 can hold. */
@@ -71,7 +81,7 @@ TEST(NpuVsSoftware, RandomTopologiesTrackTheReferenceMlp)
             for (double &v : in)
                 v = HwFixed::fromDouble(rng.uniform(-2.0, 2.0)).toDouble();
             const double exact = soft.infer(in);
-            const double approx = hw.infer(in);
+            const double approx = inferOne(hw, in);
             EXPECT_NEAR(approx, exact, 0.05)
                 << "topology " << topo.inputs << "x" << topo.hidden
                 << " seed " << seed << " trial " << trial;
@@ -88,6 +98,10 @@ TEST(NpuVsSoftware, RandomTopologiesTrackTheReferenceMlp)
 
 TEST(NpuVsSoftware, InferBatchBitIdenticalToScalarPath)
 {
+    // A scalar inference is a batch of one. Item i of a batch must be
+    // that batch of one, whichever order the batch runs in: scratch
+    // state leaking from one item into the next would break it.
+    constexpr std::size_t kCount = 64;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         Rng rng(hashCombine(0xba7c0000ULL, seed));
         const Topology topo{1 + rng.next(10), 1 + rng.next(10)};
@@ -98,46 +112,30 @@ TEST(NpuVsSoftware, InferBatchBitIdenticalToScalarPath)
             w = rng.uniform(-2.0, 2.0);
         hw.loadWeights(weights);
 
-        std::vector<std::vector<double>> batch;
-        for (int i = 0; i < 64; ++i) {
-            std::vector<double> in(topo.inputs);
-            for (double &v : in)
-                v = rng.uniform(-4.0, 4.0);
-            batch.push_back(std::move(in));
+        const std::size_t width = topo.inputs;
+        std::vector<double> flat(kCount * width);
+        for (double &v : flat)
+            v = rng.uniform(-4.0, 4.0);
+        std::vector<double> reversed;
+        for (std::size_t i = kCount; i-- > 0;) {
+            reversed.insert(reversed.end(), flat.begin() + i * width,
+                            flat.begin() + (i + 1) * width);
         }
 
-        std::vector<double> batched;
-        hw.inferBatch(batch, batched);
-        ASSERT_EQ(batched.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
+        std::vector<double> forward;
+        std::vector<double> backward;
+        hw.inferBatchFlat(flat, width, kCount, forward);
+        hw.inferBatchFlat(reversed, width, kCount, backward);
+        ASSERT_EQ(forward.size(), kCount);
+        ASSERT_EQ(backward.size(), kCount);
+        for (std::size_t i = 0; i < kCount; ++i) {
             // Bitwise equality, not EXPECT_NEAR: the batch kernel must
             // be the same arithmetic, not a close approximation.
-            EXPECT_EQ(batched[i], hw.infer(batch[i])) << "seed " << seed
-                                                      << " item " << i;
-        }
-    }
-}
-
-TEST(NpuVsSoftware, InferWithRawBitIdenticalToSeparateCalls)
-{
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        Rng rng(hashCombine(0x4a30000ULL, seed));
-        const Topology topo{1 + rng.next(10), 1 + rng.next(10)};
-        HwNeuralNetwork hw(defaultHw(), topo);
-
-        std::vector<double> weights(hw.weightCount());
-        for (double &w : weights)
-            w = rng.uniform(-2.0, 2.0);
-        hw.loadWeights(weights);
-
-        for (int trial = 0; trial < 100; ++trial) {
-            std::vector<double> in(topo.inputs);
-            for (double &v : in)
-                v = rng.uniform(-4.0, 4.0);
-            double raw = 0.0;
-            const double out = hw.inferWithRaw(in, raw);
-            EXPECT_EQ(out, hw.infer(in)) << "seed " << seed;
-            EXPECT_EQ(raw, hw.rawOutput(in)) << "seed " << seed;
+            const double one = inferOne(
+                hw, std::span<const double>(flat).subspan(i * width, width));
+            EXPECT_EQ(forward[i], one) << "seed " << seed << " item " << i;
+            EXPECT_EQ(backward[kCount - 1 - i], one)
+                << "seed " << seed << " item " << i;
         }
     }
 }
@@ -153,11 +151,11 @@ TEST(NpuVsSoftware, TrainingConvergesLikeTheSoftwarePath)
     hw.loadWeights(zeros);
 
     const std::vector<double> in{0.5, -0.25, 1.0, 0.75};
-    const double before = hw.infer(in);
+    const double before = inferOne(hw, in);
     EXPECT_NEAR(before, 0.5, 1e-3); // Zero weights: sigmoid(0).
     for (int step = 0; step < 200; ++step)
         hw.train(in, 1.0, 0.5);
-    EXPECT_GT(hw.infer(in), before + 0.2);
+    EXPECT_GT(inferOne(hw, in), before + 0.2);
 }
 
 } // namespace

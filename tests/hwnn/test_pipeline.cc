@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <vector>
 
 #include "hwnn/pipeline.hh"
 #include "nn/trainer.hh"
@@ -24,6 +25,15 @@ defaultHw()
     config.neuron.muladd_units = 2;
     config.fifo_entries = 8;
     return config;
+}
+
+/** One inference: a batch of one. */
+double
+inferOne(const HwNeuralNetwork &hw, std::span<const double> in)
+{
+    std::vector<double> out;
+    hw.inferBatchFlat(in, in.size(), 1, out);
+    return out[0];
 }
 
 TEST(HwNeuralNetwork, ServiceTimes)
@@ -79,11 +89,12 @@ TEST_P(HwFidelity, AgreesWithSoftwareNetwork)
         for (int j = 0; j < 6; ++j)
             in.push_back(inputs.uniform(-2, 2));
         const double exact = soft.infer(in);
-        EXPECT_NEAR(hw.infer(in), exact, 0.05);
+        const double approx = inferOne(hw, in);
+        EXPECT_NEAR(approx, exact, 0.05);
         // Classification may only flip inside the quantisation band
         // around the 0.5 threshold.
         if (std::abs(exact - 0.5) > 0.02 &&
-            hw.predictValid(in) != soft.predictValid(in)) {
+            (approx >= 0.5) != soft.predictValid(in)) {
             ++disagreements;
         }
     }
@@ -105,7 +116,7 @@ TEST(HwNeuralNetwork, RawOutputSignMatchesClassification)
         for (int j = 0; j < 6; ++j)
             in.push_back(inputs.uniform(-2, 2));
         const double raw = hw.rawOutput(in);
-        const double out = hw.infer(in);
+        const double out = inferOne(hw, in);
         if (std::abs(out - 0.5) > 0.02) {
             EXPECT_EQ(raw >= 0.0, out >= 0.5) << "raw=" << raw;
         }
@@ -124,8 +135,8 @@ TEST(HwNeuralNetwork, RawOutputPreservesDynamicRange)
     hw.loadWeights(weights);
     const std::vector<double> a{-1.0};
     const std::vector<double> b{-2.0};
-    EXPECT_LT(hw.infer(a), 0.01);
-    EXPECT_LT(hw.infer(b), 0.01);
+    EXPECT_LT(inferOne(hw, a), 0.01);
+    EXPECT_LT(inferOne(hw, b), 0.01);
     EXPECT_NE(hw.rawOutput(a), hw.rawOutput(b));
 }
 
@@ -136,10 +147,10 @@ TEST(HwNeuralNetwork, TrainingMovesTowardTarget)
     HwNeuralNetwork hw(defaultHw(), Topology{4, 6});
     hw.loadWeights(proto.weights());
     const std::vector<double> in{0.5, -0.5, 1.0, -1.0};
-    const double before = hw.infer(in);
+    const double before = inferOne(hw, in);
     for (int i = 0; i < 20; ++i)
         hw.train(in, 1.0, 0.2);
-    EXPECT_GT(hw.infer(in), before);
+    EXPECT_GT(inferOne(hw, in), before);
 }
 
 TEST(HwNeuralNetwork, TimingAcceptsAtLineRateWhenIdle)
@@ -235,7 +246,7 @@ TEST(HwNeuralNetwork, SetTopologyZeroesWeights)
     hw.setTopology(Topology{4, 4});
     EXPECT_EQ(hw.weightCount(), 4u * 5u + 5u);
     const std::vector<double> in{0.1, 0.2, 0.3, 0.4};
-    EXPECT_NEAR(hw.infer(in), 0.5, 0.01); // all-zero network
+    EXPECT_NEAR(inferOne(hw, in), 0.5, 0.01); // all-zero network
 }
 
 TEST(HwNeuralNetwork, InferBatchFlatIsBitIdenticalToScalarInference)
@@ -252,16 +263,27 @@ TEST(HwNeuralNetwork, InferBatchFlatIsBitIdenticalToScalarInference)
     for (std::size_t i = 0; i < kWidth * kCount; ++i)
         flat.push_back(inputs.uniform(-2, 2));
 
+    std::vector<double> reversed;
+    for (std::size_t i = kCount; i-- > 0;) {
+        reversed.insert(reversed.end(), flat.begin() + i * kWidth,
+                        flat.begin() + (i + 1) * kWidth);
+    }
+
     std::vector<double> outputs;
+    std::vector<double> backward;
     hw.inferBatchFlat(flat, kWidth, kCount, outputs);
+    hw.inferBatchFlat(reversed, kWidth, kCount, backward);
     ASSERT_EQ(outputs.size(), kCount);
+    ASSERT_EQ(backward.size(), kCount);
     for (std::size_t i = 0; i < kCount; ++i) {
         const std::span<const double> row =
             std::span<const double>(flat).subspan(i * kWidth, kWidth);
-        // Exact equality: the batched path must reuse the scalar
-        // fixed-point pipeline verbatim (the fleet's streaming-vs-batch
+        // Exact equality: item i of a batch, in either batch order, is
+        // a batch of one holding item i (the fleet's streaming-vs-batch
         // byte-equivalence depends on it).
-        EXPECT_EQ(outputs[i], hw.infer(row)) << i;
+        const double one = inferOne(hw, row);
+        EXPECT_EQ(outputs[i], one) << i;
+        EXPECT_EQ(backward[kCount - 1 - i], one) << i;
     }
 }
 

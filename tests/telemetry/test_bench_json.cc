@@ -101,6 +101,22 @@ TEST(BenchJsonTelemetry, UnknownKeysInEntriesAreSkipped)
     EXPECT_DOUBLE_EQ(loaded.telemetry[0].value, 2.5);
 }
 
+TEST(BenchJsonTelemetry, DeeplyNestedUnknownKeyIsRejected)
+{
+    // A v1 report whose unknown key holds 100,000 nested arrays: the
+    // loader must refuse it cleanly rather than recurse without bound.
+    const std::string path = tempPath("act_test_bench_nested.json");
+    {
+        std::ofstream out(path);
+        out << R"({"schema": "act-bench-trend-v1", "results": [], "x": )"
+            << std::string(100000, '[') << std::string(100000, ']')
+            << "}";
+    }
+    BenchReport loaded;
+    EXPECT_FALSE(loadBenchReport(path, loaded));
+    std::remove(path.c_str());
+}
+
 TEST(BenchJsonTelemetry, CompareReportsIgnoresTelemetry)
 {
     BenchReport current;

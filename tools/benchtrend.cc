@@ -2,8 +2,7 @@
  * @file
  * benchtrend — the repo's benchmark-trajectory harness.
  *
- * Runs the simulate→track→infer micro hot paths (the same inner loops
- * `bench/micro_hotpaths` times under google-benchmark) plus the
+ * Runs the simulate→track→infer micro hot paths plus the
  * offline concurrency detectors of the analysis pipeline with a
  * self-calibrating best-of-N driver, plus three coarse wall-clock
  * measurements (the smoke campaign, a reduced Figure 8 overhead run,
@@ -233,9 +232,10 @@ benchHwInfer(const MicroHarness &harness)
         std::vector<double> in;
         for (std::size_t i = 0; i < 6; ++i)
             in.push_back(rng.uniform(-2, 2));
+        std::vector<double> out;
         for (std::uint64_t i = 0; i < iters; ++i) {
-            const double out = hw.infer(in);
-            keep(out);
+            hw.inferBatchFlat(in, in.size(), 1, out);
+            keep(out[0]);
         }
     });
 }
