@@ -20,18 +20,8 @@ namespace
 
 using bench::format;
 
-struct OverheadResult
-{
-    double overhead = 0.0;
-    Cycle base_cycles = 0;
-    Cycle act_cycles = 0;
-    std::uint64_t dependences = 0;
-    std::uint64_t mode_switches = 0;
-    Cycle stall_cycles = 0;
-};
-
-OverheadResult
-measure(const Workload &workload, const SystemConfig &base_config)
+OverheadMeasurement
+measure(const Workload &workload)
 {
     // Offline-train so the production run starts in testing mode.
     PairEncoder encoder;
@@ -41,33 +31,8 @@ measure(const Workload &workload, const SystemConfig &base_config)
 
     WorkloadParams params;
     params.seed = 300;
-    const Trace trace = workload.record(params);
-
-    SystemConfig config = base_config;
-    config.act_enabled = false;
-    System baseline(config);
-    baseline.run(trace);
-
-    config.act_enabled = true;
-    config.act.topology = model.topology;
-    WeightStore store(model.topology);
-    store.setAll(workload.threadCount(), model.weights);
-    System with_act(config, encoder, store);
-    with_act.run(trace);
-
-    OverheadResult result;
-    result.base_cycles = baseline.stats().cycles;
-    result.act_cycles = with_act.stats().cycles;
-    result.overhead =
-        result.base_cycles
-            ? static_cast<double>(result.act_cycles -
-                                  result.base_cycles) /
-                  static_cast<double>(result.base_cycles)
-            : 0.0;
-    result.dependences = with_act.stats().act.dependences;
-    result.mode_switches = with_act.stats().act.mode_switches;
-    result.stall_cycles = with_act.stats().act.stall_cycles;
-    return result;
+    return measureOverhead(workload, model, workload.record(params),
+                           SystemConfig{});
 }
 
 void
@@ -82,20 +47,17 @@ run()
                "mode sw.", "overhead"});
     table.rule();
 
+    const auto count = [](std::uint64_t v) {
+        return format("%llu", static_cast<unsigned long long>(v));
+    };
     OnlineStats overhead;
     for (const auto &name : predictionKernelNames()) {
         const auto workload = makeWorkload(name);
-        const OverheadResult r = measure(*workload, SystemConfig{});
+        const OverheadMeasurement r = measure(*workload);
         overhead.add(r.overhead);
-        table.row({name,
-                   format("%llu",
-                          static_cast<unsigned long long>(r.base_cycles)),
-                   format("%llu",
-                          static_cast<unsigned long long>(r.act_cycles)),
-                   format("%llu",
-                          static_cast<unsigned long long>(r.stall_cycles)),
-                   format("%llu",
-                          static_cast<unsigned long long>(r.mode_switches)),
+        table.row({name, count(r.baseline.cycles), count(r.act.cycles),
+                   count(r.act.act.stall_cycles),
+                   count(r.act.act.mode_switches),
                    format("%.1f%%", r.overhead * 100.0)});
     }
     table.rule();

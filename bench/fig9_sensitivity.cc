@@ -15,29 +15,40 @@ namespace
 
 using bench::format;
 
-double
-overheadWith(const Workload &workload, const TrainedModel &model,
-             const Trace &trace, std::uint32_t muladd_units,
+/** One program's trained model and its seed-300 production trace. */
+struct Program
+{
+    std::string name;
+    std::unique_ptr<Workload> workload;
+    TrainedModel model;
+    Trace trace;
+};
+
+Program
+prepare(const std::string &name)
+{
+    Program p{name, makeWorkload(name), {}, {}};
+    PairEncoder encoder;
+    OfflineTrainingConfig training = bench::standardTraining(6);
+    training.trainer.max_epochs = 300;
+    p.model = offlineTrain(*p.workload, encoder, training);
+    WorkloadParams params;
+    params.seed = 300;
+    p.trace = p.workload->record(params);
+    return p;
+}
+
+std::string
+overheadWith(const Program &p, std::uint32_t muladd_units,
              std::uint32_t fifo_entries)
 {
     SystemConfig config;
-    config.act_enabled = false;
-    System baseline(config);
-    baseline.run(trace);
-
-    config.act_enabled = true;
-    config.act.topology = model.topology;
     config.act.hw.neuron.muladd_units = muladd_units;
     config.act.hw.fifo_entries = fifo_entries;
-    PairEncoder encoder;
-    WeightStore store(model.topology);
-    store.setAll(workload.threadCount(), model.weights);
-    System with_act(config, encoder, store);
-    with_act.run(trace);
-
-    return static_cast<double>(with_act.stats().cycles -
-                               baseline.stats().cycles) /
-           static_cast<double>(baseline.stats().cycles);
+    return format(
+        "%.1f%%",
+        measureOverhead(*p.workload, p.model, p.trace, config).overhead *
+            100.0);
 }
 
 void
@@ -48,8 +59,9 @@ run()
                   "(neuron latency T = ceil(M/x) + 2), input FIFO "
                   "{4,8,16}");
 
-    const std::vector<std::string> programs = {"lu", "ocean", "canneal",
-                                               "swaptions"};
+    std::vector<Program> programs;
+    for (const char *name : {"lu", "ocean", "canneal", "swaptions"})
+        programs.push_back(prepare(name));
 
     std::printf("--- multiply-add units (FIFO fixed at 8) ---\n");
     {
@@ -57,23 +69,10 @@ run()
         table.row({"program", "x=1 (T=12)", "x=2 (T=7)", "x=5 (T=4)",
                    "x=10 (T=3)"});
         table.rule();
-        for (const auto &name : programs) {
-            const auto workload = makeWorkload(name);
-            PairEncoder encoder;
-            OfflineTrainingConfig training = bench::standardTraining(6);
-            training.trainer.max_epochs = 300;
-            const TrainedModel model =
-                offlineTrain(*workload, encoder, training);
-            WorkloadParams params;
-            params.seed = 300;
-            const Trace trace = workload->record(params);
-            std::vector<std::string> cells{name};
-            for (const std::uint32_t units : {1u, 2u, 5u, 10u}) {
-                cells.push_back(format(
-                    "%.1f%%",
-                    overheadWith(*workload, model, trace, units, 8) *
-                        100.0));
-            }
+        for (const Program &p : programs) {
+            std::vector<std::string> cells{p.name};
+            for (const std::uint32_t units : {1u, 2u, 5u, 10u})
+                cells.push_back(overheadWith(p, units, 8));
             table.row(cells);
         }
     }
@@ -83,23 +82,10 @@ run()
         const bench::Table table({16, 12, 12, 12});
         table.row({"program", "4 entries", "8 entries", "16 entries"});
         table.rule();
-        for (const auto &name : programs) {
-            const auto workload = makeWorkload(name);
-            PairEncoder encoder;
-            OfflineTrainingConfig training = bench::standardTraining(6);
-            training.trainer.max_epochs = 300;
-            const TrainedModel model =
-                offlineTrain(*workload, encoder, training);
-            WorkloadParams params;
-            params.seed = 300;
-            const Trace trace = workload->record(params);
-            std::vector<std::string> cells{name};
-            for (const std::uint32_t fifo : {4u, 8u, 16u}) {
-                cells.push_back(format(
-                    "%.1f%%",
-                    overheadWith(*workload, model, trace, 2, fifo) *
-                        100.0));
-            }
+        for (const Program &p : programs) {
+            std::vector<std::string> cells{p.name};
+            for (const std::uint32_t fifo : {4u, 8u, 16u})
+                cells.push_back(overheadWith(p, 2, fifo));
             table.row(cells);
         }
     }

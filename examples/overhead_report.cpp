@@ -30,20 +30,10 @@ main(int argc, char **argv)
     params.seed = 777;
     const Trace trace = workload->record(params);
 
-    SystemConfig config;
-    config.act_enabled = false;
-    System baseline(config);
-    baseline.run(trace);
-
-    config.act_enabled = true;
-    config.act.topology = model.topology;
-    WeightStore store(model.topology);
-    store.setAll(workload->threadCount(), model.weights);
-    System with_act(config, encoder, store);
-    with_act.run(trace);
-
-    const SystemStats base = baseline.stats();
-    const SystemStats act_stats = with_act.stats();
+    const OverheadMeasurement measured =
+        measureOverhead(*workload, model, trace, SystemConfig{});
+    const SystemStats &base = measured.baseline;
+    const SystemStats &act_stats = measured.act;
 
     std::printf("trace: %zu events, %llu instructions, %u threads\n\n",
                 trace.size(),
@@ -54,13 +44,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(base.cycles));
     std::printf("%-34s %14llu cycles\n", "with ACT Modules",
                 static_cast<unsigned long long>(act_stats.cycles));
-    const double overhead =
-        base.cycles ? 100.0 *
-                          static_cast<double>(act_stats.cycles -
-                                              base.cycles) /
-                          static_cast<double>(base.cycles)
-                    : 0.0;
-    std::printf("%-34s %14.2f %%\n\n", "execution overhead", overhead);
+    std::printf("%-34s %14.2f %%\n\n", "execution overhead",
+                100.0 * measured.overhead);
 
     std::printf("cost breakdown:\n");
     std::printf("  %-32s %12llu\n", "dependences processed",

@@ -1,5 +1,7 @@
 #include "act/act_module.hh"
 
+#include <algorithm>
+
 #include "analysis/config_check.hh"
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -36,7 +38,8 @@ ActModule::ActModule(const ActConfig &config,
     : config_(checkedConfig(config, encoder)), encoder_(encoder.clone()),
       members_(config_.ensemble.members,
                HwNeuralNetwork(config_.hw, config_.topology)),
-      own_arena_(config_), arena_(&own_arena_)
+      fifo_done_(config_.hw.fifo_entries, 0), own_arena_(config_),
+      arena_(&own_arena_)
 {
     for (const HwNeuralNetwork &member : members_)
         member_ptrs_.push_back(&member);
@@ -209,7 +212,10 @@ ActModule::exportWeights(WeightStore &store, ThreadId tid) const
 void
 ActModule::flushPipeline()
 {
-    members_[0].flush();
+    // Queued inputs are dropped; the one in the compute stages still
+    // finishes, so compute_free_at_ stays.
+    std::fill(fifo_done_.begin(), fifo_done_.end(), 0);
+    fifo_clock_ = 0;
 }
 
 void
@@ -292,21 +298,27 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
         return outcome;
 
     // Timing: the load retires only once the input FIFO accepts the
-    // sequence. A full FIFO stalls it (Section III-C / IV-A). The
-    // ensemble shares the M-neuron bank, so one acceptance covers all
-    // members — the budget check in validateActConfig guarantees they
-    // fit side by side.
+    // sequence. A full FIFO — its oldest entry still in flight — stalls
+    // it until that entry completes (Section III-C / IV-A). S1 insert
+    // takes one cycle; service begins when the previous input vacates
+    // the compute stages. The ensemble shares the M-neuron bank, so
+    // one admission covers all members — the budget check in
+    // validateActConfig guarantees they fit side by side.
+    ACT_ASSERT(cycle >= fifo_clock_);
+    fifo_clock_ = cycle;
+    Cycle &oldest = fifo_done_[fifo_head_];
     Cycle now = cycle;
-    for (;;) {
-        const AcceptResult accepted = members_[0].offer(now, training);
-        if (accepted.accepted)
-            break;
+    if (oldest > now) {
+        outcome.stall_cycles = oldest - now;
         ++arena.stats.stalled_offers;
-        ACT_ASSERT(accepted.retry_at > now);
-        outcome.stall_cycles += accepted.retry_at - now;
-        arena.stats.stall_cycles += accepted.retry_at - now;
-        now = accepted.retry_at;
+        arena.stats.stall_cycles += outcome.stall_cycles;
+        now = oldest;
     }
+    const Cycle start = std::max(now + 1, compute_free_at_);
+    compute_free_at_ = start + (training ? config_.hw.trainServiceTime()
+                                         : config_.hw.testServiceTime());
+    oldest = compute_free_at_;
+    fifo_head_ = (fifo_head_ + 1) % fifo_done_.size();
 
     // Function: every member classifies the sequence. In training mode
     // all dependences are presumed valid, so each member learns the

@@ -18,8 +18,9 @@
  *    to testing mode.
  *
  * The timing side mirrors Section IV-A: the load that produced the
- * dependence can only retire once the pipeline's input FIFO accepts
- * it, so a full FIFO back-pressures the core.
+ * dependence can only retire once the network's S1 input FIFO accepts
+ * it, so a full FIFO back-pressures the core. The module owns that one
+ * FIFO; the ensemble members share it and model function only.
  *
  * State layout: everything mutable per run lives in an ActArena. A
  * stand-alone module owns one internally (the classic one-module,
@@ -350,10 +351,24 @@ class ActModule
     ActConfig config_;
     std::unique_ptr<DependenceEncoder> encoder_;
 
-    /** Member networks; member 0 is the primary and carries the
-     *  timing model (one size-1 vector on a dormant module). */
+    /** Member networks; member 0 is the primary (one size-1 vector on
+     *  a dormant module). */
     std::vector<HwNeuralNetwork> members_;
     std::vector<const HwNeuralNetwork *> member_ptrs_; //!< Same, by address.
+
+    /**
+     * The S1 input FIFO (Section IV-A): a ring of the completion cycles
+     * of the last fifo_entries admitted inputs, oldest at fifo_head_,
+     * and the cycle at which the compute stages next free. The FIFO is
+     * full while its oldest entry is still in the future; a flush
+     * zeroes the ring. Reading "entries in the future" as the queue's
+     * occupancy is exact only while admission cycles never decrease
+     * between flushes; fifo_clock_ is the last one, to check that.
+     */
+    std::vector<Cycle> fifo_done_;
+    std::size_t fifo_head_ = 0;
+    Cycle compute_free_at_ = 0;
+    Cycle fifo_clock_ = 0;
 
     std::vector<double> outputs_;        //!< onDependence activations.
     std::vector<double> member_scratch_; //!< inferEnsembleFlat scratch.

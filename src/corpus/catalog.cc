@@ -11,6 +11,7 @@ namespace act::corpus
 namespace
 {
 
+using telemetry::jsonEscape;
 using telemetry::JsonValue;
 
 /**
@@ -105,10 +106,12 @@ catalogJson(const CorpusCatalog &catalog)
     std::ostringstream out;
     out << "{\n";
     out << "  \"schema\": \"" << kCatalogSchema << "\",\n";
-    out << "  \"name\": \"" << catalog.name << "\",\n";
-    out << "  \"base_kernel\": \"" << catalog.base_kernel << "\",\n";
-    out << "  \"bug_class\": \"" << catalog.bug_class << "\",\n";
-    out << "  \"lens\": \"" << catalog.lens << "\",\n";
+    out << "  \"name\": \"" << jsonEscape(catalog.name) << "\",\n";
+    out << "  \"base_kernel\": \"" << jsonEscape(catalog.base_kernel)
+        << "\",\n";
+    out << "  \"bug_class\": \"" << jsonEscape(catalog.bug_class)
+        << "\",\n";
+    out << "  \"lens\": \"" << jsonEscape(catalog.lens) << "\",\n";
     out << "  \"seed\": \"" << catalog.seed << "\",\n";
     out << "  \"site\": {\"store_pc\": " << catalog.site_store_pc
         << ", \"load_pc\": " << catalog.site_load_pc << "},\n";

@@ -46,9 +46,11 @@ PairEncoder::localityFeature(const RawDependence &dep)
 double
 PairEncoder::distanceFeature(const RawDependence &dep)
 {
+    // Wrap-around subtraction, read as signed: the plain signed
+    // difference wherever that is defined, and no overflow UB for PCs
+    // a fleet event block can carry from anywhere in the address space.
     const auto delta = static_cast<double>(
-        static_cast<std::int64_t>(dep.load_pc) -
-        static_cast<std::int64_t>(dep.store_pc));
+        static_cast<std::int64_t>(dep.load_pc - dep.store_pc));
     const double magnitude =
         std::log2(1.0 + std::abs(delta)) / 16.0 * kCodeRange;
     const double signed_mag = std::copysign(magnitude, delta);

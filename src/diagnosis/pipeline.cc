@@ -144,6 +144,33 @@ buildWeightStore(const TrainedModel &model, std::uint32_t threads)
     return store;
 }
 
+OverheadMeasurement
+measureOverhead(const Workload &workload, const TrainedModel &model,
+                const Trace &trace, const SystemConfig &config)
+{
+    SystemConfig run_config = config;
+    run_config.act_enabled = false;
+    System baseline(run_config);
+    baseline.run(trace);
+
+    run_config.act_enabled = true;
+    run_config.act.topology = model.topology;
+    PairEncoder encoder;
+    System with_act(run_config, encoder,
+                    buildWeightStore(model, workload.threadCount()));
+    with_act.run(trace);
+
+    OverheadMeasurement result;
+    result.baseline = baseline.stats();
+    result.act = with_act.stats();
+    if (result.baseline.cycles != 0) {
+        result.overhead =
+            static_cast<double>(result.act.cycles - result.baseline.cycles) /
+            static_cast<double>(result.baseline.cycles);
+    }
+    return result;
+}
+
 std::vector<DependenceSequence>
 collectCacheSequences(const Trace &trace, const MemSystemConfig &mem_config,
                       std::size_t sequence_length)

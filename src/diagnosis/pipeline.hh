@@ -109,6 +109,27 @@ TrainedModel offlineTrain(const Workload &workload,
                           DependenceEncoder &encoder,
                           const OfflineTrainingConfig &config);
 
+/** A baseline run and an ACT run of one trace (Figure 8). */
+struct OverheadMeasurement
+{
+    SystemStats baseline; //!< The machine without ACT Modules.
+    SystemStats act;      //!< The same machine with them.
+
+    /** Added cycles as a fraction of the baseline's (0 if it ran none). */
+    double overhead = 0.0;
+};
+
+/**
+ * Run @p trace on the machine @p config describes twice — without ACT,
+ * then with ACT Modules (PairEncoder inputs, @p model's topology and
+ * weight table) — and report the execution overhead (the Figure 8 /
+ * Figure 9 measurement).
+ */
+OverheadMeasurement measureOverhead(const Workload &workload,
+                                    const TrainedModel &model,
+                                    const Trace &trace,
+                                    const SystemConfig &config);
+
 /**
  * Replay @p trace through the cache model and return the dependence
  * sequences exactly as an online AM would form them (including losses

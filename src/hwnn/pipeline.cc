@@ -207,51 +207,6 @@ HwNeuralNetwork::setWeightAt(std::size_t index, double value)
 }
 
 void
-HwNeuralNetwork::drain(Cycle now) const
-{
-    while (!in_flight_.empty() && in_flight_.front() <= now)
-        in_flight_.pop_front();
-}
-
-AcceptResult
-HwNeuralNetwork::offer(Cycle now, bool training)
-{
-    drain(now);
-    if (in_flight_.size() >= config_.fifo_entries) {
-        ++rejected_;
-        return AcceptResult{false, in_flight_.front()};
-    }
-    const Cycle service = training ? config_.trainServiceTime()
-                                   : config_.testServiceTime();
-    // S1 (FIFO insert) takes one cycle; service begins when the
-    // previous input vacates the compute stages.
-    const Cycle start = std::max(now + 1, last_completion_);
-    last_completion_ = start + service;
-    in_flight_.push_back(last_completion_);
-    ++accepted_;
-    return AcceptResult{true, 0};
-}
-
-std::size_t
-HwNeuralNetwork::occupancy(Cycle now) const
-{
-    drain(now);
-    return in_flight_.size();
-}
-
-Cycle
-HwNeuralNetwork::drainCycle() const
-{
-    return last_completion_;
-}
-
-void
-HwNeuralNetwork::flush()
-{
-    in_flight_.clear();
-}
-
-void
 inferEnsembleFlat(std::span<const HwNeuralNetwork *const> members,
                   std::span<const double> flat, std::size_t width,
                   std::size_t count, std::vector<double> &outputs,

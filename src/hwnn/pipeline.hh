@@ -3,22 +3,20 @@
  * The three-stage partially configurable hardware network (Figure 6(a)).
  *
  * Stage S1 is the input FIFO; stage S2 is a bank of M hidden neurons
- * evaluated in parallel; stage S3 is the single output neuron. S1 takes
- * one cycle; S2 and S3 each take the neuron latency T. During online
- * testing the stages are pipelined, so with a full FIFO the network
- * accepts one input every T cycles. During online training the network
- * must finish back-propagation before accepting the next input, giving
- * one input every 4T cycles (Section IV-A).
+ * evaluated in parallel; stage S3 is the single output neuron. This
+ * class models the network's function only: fixed point (Q15.16 with a
+ * sigmoid table), with a flat weight-register file compatible with
+ * MlpNetwork so that software-trained weights load verbatim via stwt.
  *
- * Functional behaviour is fixed point (Q15.16 with a sigmoid table),
- * with a flat weight-register file compatible with MlpNetwork so that
- * software-trained weights load verbatim via stwt.
+ * The S1 timing (one input per T cycles in testing, one per 4T in
+ * training, retire stalls on a full FIFO; Section IV-A) lives in the
+ * ACT Module, which owns the one FIFO its ensemble members share.
+ * HwNetworkConfig carries the parameters it needs.
  */
 
 #ifndef ACT_HWNN_PIPELINE_HH
 #define ACT_HWNN_PIPELINE_HH
 
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -35,23 +33,17 @@ struct HwNetworkConfig
     NeuronConfig neuron;
     std::uint32_t fifo_entries = 8; //!< Input FIFO size {4, 8, 16}.
 
-    /** Cycles between accepted inputs in testing mode. */
+    /** Cycles between accepted inputs in testing mode: S2 and S3 are
+     *  pipelined, each taking the neuron latency T. */
     Cycle testServiceTime() const { return neuron.latency(); }
 
-    /** Cycles between accepted inputs in training mode. */
+    /** Cycles between accepted inputs in training mode: the network
+     *  finishes back-propagation before the next input (4T). */
     Cycle trainServiceTime() const { return 4 * neuron.latency(); }
 };
 
-/** Result of offering an input to the pipeline at a given cycle. */
-struct AcceptResult
-{
-    bool accepted = false;
-    /** When rejected: first cycle at which a retry can succeed. */
-    Cycle retry_at = 0;
-};
-
 /**
- * Functional + timing model of the AM's neural network.
+ * Functional model of the AM's neural network.
  */
 class HwNeuralNetwork
 {
@@ -67,8 +59,6 @@ class HwNeuralNetwork
 
     /** Reconfigure the logical topology (weights are zeroed). */
     void setTopology(Topology topology);
-
-    // --- Functional interface -------------------------------------
 
     /**
      * The forward-pass kernel: evaluate @p count input vectors of
@@ -108,37 +98,7 @@ class HwNeuralNetwork
     double weightAt(std::size_t index) const;
     void setWeightAt(std::size_t index, double value);
 
-    // --- Timing interface -----------------------------------------
-
-    /**
-     * Offer an input at @p now.
-     *
-     * @param now      Current cycle.
-     * @param training Whether the AM is in online-training mode.
-     * @return Whether the FIFO accepted the input; when it did not,
-     *         retry_at tells the caller (a stalled load at the ROB
-     *         head) when space frees up.
-     */
-    AcceptResult offer(Cycle now, bool training);
-
-    /** Inputs currently queued or in flight at @p now. */
-    std::size_t occupancy(Cycle now) const;
-
-    /** Cycle at which the last accepted input finishes processing. */
-    Cycle drainCycle() const;
-
-    /** Drop all in-flight inputs (context switch flush, §IV-D). */
-    void flush();
-
-    /** Total inputs ever accepted. */
-    std::uint64_t acceptedCount() const { return accepted_; }
-
-    /** Total offers that were rejected (load retire stalls). */
-    std::uint64_t rejectedCount() const { return rejected_; }
-
   private:
-    void drain(Cycle now) const;
-
     /** Quantise @p inputs into fixed_inputs_. */
     void toFixed(std::span<const double> inputs) const;
 
@@ -169,13 +129,6 @@ class HwNeuralNetwork
     std::size_t reg_stride_;         //!< Registers per neuron (M + 1).
     std::vector<HwFixed> hidden_w_;  //!< M x reg_stride_, row-major.
     std::vector<HwFixed> output_w_;  //!< reg_stride_ registers.
-
-    /** Completion cycles of queued inputs (front = oldest). */
-    mutable std::deque<Cycle> in_flight_;
-    Cycle last_completion_ = 0;
-
-    std::uint64_t accepted_ = 0;
-    std::uint64_t rejected_ = 0;
 
     mutable std::vector<HwFixed> fixed_inputs_;
     mutable std::vector<HwFixed> hidden_out_;

@@ -45,11 +45,8 @@ System::schedule(CoreId core, ThreadId tid)
             ActModule &am = *modules_[core];
             am.flushPipeline();
             switched_out_[running_[core]] = am.saveWeights();
-            const auto w = am.network().weightCount() * am.memberCount();
-            weight_transfer_instructions_ +=
-                IsaCostModel::weightTransferInstructions(w);
-            cpu.advanceInstructions(
-                IsaCostModel::weightTransferInstructions(w));
+            chargeWeightTransfer(
+                cpu, am.network().weightCount() * am.memberCount());
         }
     }
     running_[core] = tid;
@@ -63,11 +60,17 @@ System::schedule(CoreId core, ThreadId tid)
         } else {
             transferred = am.initThread(tid, weights_);
         }
-        weight_transfer_instructions_ +=
-            IsaCostModel::weightTransferInstructions(transferred);
-        cpu.advanceInstructions(
-            IsaCostModel::weightTransferInstructions(transferred));
+        chargeWeightTransfer(cpu, transferred);
     }
+}
+
+void
+System::chargeWeightTransfer(Core &core, std::size_t weights)
+{
+    const std::uint64_t instructions =
+        IsaCostModel::weightTransferInstructions(weights);
+    weight_transfer_instructions_ += instructions;
+    core.advanceInstructions(instructions);
 }
 
 void
@@ -125,11 +128,8 @@ System::handle(const TraceEvent &event)
             // them so the binary can be patched (Section IV-C).
             ActModule &am = *modules_[core_id];
             am.exportWeights(weights_, event.tid);
-            const auto w = am.network().weightCount() * am.memberCount();
-            weight_transfer_instructions_ +=
-                IsaCostModel::weightTransferInstructions(w);
-            cpu.advanceInstructions(
-                IsaCostModel::weightTransferInstructions(w));
+            chargeWeightTransfer(
+                cpu, am.network().weightCount() * am.memberCount());
         }
         running_[core_id] = kInvalidThread;
         break;

@@ -95,6 +95,10 @@ class System
     /** Make @p tid the thread running on @p core (switch if needed). */
     void schedule(CoreId core, ThreadId tid);
 
+    /** Charge @p core the ldwt/stwt loop moving @p weights registers
+     *  (Section IV-C): the one source of weight-transfer cycles. */
+    void chargeWeightTransfer(Core &core, std::size_t weights);
+
     SystemConfig config_;
     MemorySystem mem_;
     std::vector<Core> cores_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal JSON value-tree parser.
+ * Minimal JSON value-tree parser, and the string escaping every JSON
+ * writer in the repo shares.
  *
  * Exists so `actstat` and the telemetry tests can consume metrics and
  * Chrome-trace JSON without an external dependency. Covers the full
@@ -61,6 +62,13 @@ struct JsonValue
  */
 std::unique_ptr<JsonValue> parseJson(const std::string &input,
                                      std::string *error = nullptr);
+
+/**
+ * @p s as the body of a JSON string literal: quotes, backslashes and
+ * control characters escaped, every other byte verbatim. parseJson
+ * reads it back to the same bytes.
+ */
+std::string jsonEscape(const std::string &s);
 
 } // namespace act::telemetry
 

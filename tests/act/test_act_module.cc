@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 
 #include "act/act_module.hh"
 #include "common/fault_hooks.hh"
@@ -200,6 +201,108 @@ TEST(ActModule, FifoBackpressureStallsLoads)
     const ActOutcome second = module.onDependence(validDep(), 0, 10);
     EXPECT_GT(second.stall_cycles, 0u);
     EXPECT_GT(module.stats().stalled_offers, 0u);
+}
+
+/**
+ * A testing-mode module over a FIFO of @p entries with T = 7 (the
+ * default two multiply-add units): one classified sequence per
+ * dependence, so every call is one FIFO admission.
+ */
+std::unique_ptr<ActModule>
+fifoModule(std::uint32_t entries)
+{
+    ActConfig config = testConfig();
+    config.hw.fifo_entries = entries;
+    EXPECT_EQ(config.hw.testServiceTime(), 7u);
+    auto module = std::make_unique<ActModule>(config, PairEncoder{});
+    module->initThread(0, trainedStore());
+    return module;
+}
+
+/** Retire stall of one load completing at @p cycle. */
+Cycle
+stallAt(ActModule &module, Cycle cycle)
+{
+    const ActOutcome outcome = module.onDependence(validDep(), 0, cycle);
+    EXPECT_TRUE(outcome.classified);
+    return outcome.stall_cycles;
+}
+
+TEST(ActModuleFifo, AcceptsAtLineRateWhenIdle)
+{
+    // An empty FIFO takes back-to-back loads without a stall.
+    const auto module = fifoModule(8);
+    EXPECT_EQ(stallAt(*module, 10), 0u);
+    EXPECT_EQ(stallAt(*module, 11), 0u);
+    EXPECT_EQ(module->stats().stalled_offers, 0u);
+}
+
+TEST(ActModuleFifo, FullFifoStallsUntilOldestCompletes)
+{
+    // All loads at cycle 0: four fill the FIFO, the fifth waits for
+    // the oldest input, done at 1 + 7 (S1 insert + service).
+    const auto module = fifoModule(4);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(stallAt(*module, 0), 0u) << i;
+    EXPECT_EQ(stallAt(*module, 0), 8u);
+    EXPECT_EQ(module->stats().stalled_offers, 1u);
+    EXPECT_EQ(module->stats().stall_cycles, 8u);
+}
+
+TEST(ActModuleFifo, SteadyStateThroughputIsServiceTime)
+{
+    // A core issuing loads as fast as it may: once the two-entry FIFO
+    // is full, one load retires every T = 7 cycles.
+    const auto module = fifoModule(2);
+    Cycle cycle = 0;
+    std::vector<Cycle> retired;
+    for (int i = 0; i < 7; ++i) {
+        cycle += stallAt(*module, cycle);
+        retired.push_back(cycle);
+    }
+    for (std::size_t i = 3; i < retired.size(); ++i)
+        EXPECT_EQ(retired[i] - retired[i - 1], 7u) << i;
+}
+
+TEST(ActModuleFifo, TrainingModeQuadruplesServiceTime)
+{
+    // One-entry FIFO, two loads at cycle 0: the second waits 1 + T in
+    // testing and 1 + 4T in training (back-propagation first).
+    const auto testing = fifoModule(1);
+    ActConfig config = testConfig();
+    config.hw.fifo_entries = 1;
+    ActModule training(config, PairEncoder{});
+    training.initThread(0, WeightStore(Topology{2, 6}));
+    ASSERT_EQ(training.mode(), ActMode::kTraining);
+    EXPECT_EQ(stallAt(*testing, 0), 0u);
+    EXPECT_EQ(stallAt(training, 0), 0u);
+    EXPECT_EQ(stallAt(*testing, 0), 1u + 7u);
+    EXPECT_EQ(stallAt(training, 0), 1u + 28u);
+}
+
+TEST(ActModuleFifo, FlushEmptiesFifoButKeepsComputeBusy)
+{
+    const auto module = fifoModule(2);
+    EXPECT_EQ(stallAt(*module, 0), 0u); // Done at 8.
+    EXPECT_EQ(stallAt(*module, 0), 0u); // Done at 15: the FIFO is full.
+    module->flushPipeline();
+    // The flushed FIFO admits two more without a stall...
+    EXPECT_EQ(stallAt(*module, 0), 0u);
+    EXPECT_EQ(stallAt(*module, 0), 0u);
+    // ...but the compute stages still finish the input they held, so
+    // those two complete at 15 + 7 = 22 and 29, and the next load
+    // waits for 22, not for an idle pipeline's 8.
+    EXPECT_EQ(stallAt(*module, 0), 22u);
+}
+
+TEST(ActModuleFifo, DrainsOverTime)
+{
+    // A full FIFO empties on its own: a load long after the burst
+    // retires without a stall.
+    const auto module = fifoModule(1);
+    EXPECT_EQ(stallAt(*module, 0), 0u);
+    EXPECT_EQ(stallAt(*module, 100), 0u);
+    EXPECT_EQ(module->stats().stalled_offers, 0u);
 }
 
 TEST(ActModule, SaveRestoreWeightsRoundTrip)

@@ -184,6 +184,54 @@ TEST(EnsembleDifferential, SelfTuningTrioMatchesGoldenHash)
     EXPECT_EQ(h, 0xf71d951c58311564ULL);
 }
 
+/**
+ * Timing pin: the S1 input FIFO's retire stalls. A two-entry FIFO, a
+ * short interval (so the module trains and admits one input per 4T),
+ * bursty cycle steps that alternate back-to-back loads with idle gaps,
+ * and a context-switch flush every few hundred dependences. Mixes every
+ * outcome's stall and the module's stall counters. The constant was
+ * generated on the per-network FIFO that preceded the module's own.
+ */
+TEST(EnsembleDifferential, FifoTimingMatchesGoldenHash)
+{
+    ActConfig config;
+    config.hw.fifo_entries = 2;
+    config.interval_length = 50;
+    config.learning_rate = 0.002; // Slow to relearn: long training runs.
+    PairEncoder encoder;
+    ActModule module(config, encoder);
+    WeightStore store(config.topology);
+    store.set(0, pseudoWeights(store.weightCount(), 0x5eedULL));
+    module.initThread(0, store);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    std::uint64_t seed = 0xf1f0ULL;
+    Cycle cycle = 0;
+    for (std::size_t i = 0; i < 20000; ++i) {
+        const RawDependence dep = pseudoDep(seed, i);
+        // Mostly 0-2 cycle steps (a burst of loads), sometimes a gap
+        // long enough for the FIFO to drain.
+        cycle += (seed >> 24) % 4 == 0 ? (seed >> 32) % 64
+                                       : (seed >> 32) % 3;
+        if (i % 300 == 299)
+            module.flushPipeline();
+        const ActOutcome out = module.onDependence(dep, 0, cycle);
+        cycle += out.stall_cycles; // The core retires the load late.
+        mix(out.stall_cycles);
+        mix(out.classified ? 1 : 0);
+        mix(static_cast<std::uint64_t>(module.mode()));
+    }
+    const ActModuleStats &st = module.stats();
+    mix(st.stalled_offers);
+    mix(st.stall_cycles);
+    mix(st.training_dependences);
+    mix(st.mode_switches);
+    EXPECT_GT(st.training_dependences, 0u);
+    EXPECT_GT(st.stalled_offers, 0u);
+    EXPECT_EQ(h, 0x5a6799c8132f8a62ULL);
+}
+
 /** Ensemble config sized within the M = 10 neuron budget. */
 ActConfig
 ensembleConfig(std::size_t members)

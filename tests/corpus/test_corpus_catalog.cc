@@ -54,6 +54,28 @@ TEST(CatalogJson, RoundTripsExactly)
     EXPECT_EQ(json, catalogJson(parsed));
 }
 
+TEST(CatalogJson, EscapedStringFieldsRoundTrip)
+{
+    // Catalogs are untrusted input: a parsed name may hold a quote, a
+    // backslash or a control character, and writing it back must
+    // still produce a catalog that parses to the same fields.
+    const std::string json = catalogJson(sampleCatalog());
+    const std::string key = "\"name\": \"";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(std::string::npos, at);
+    const std::string hostile =
+        json.substr(0, at + key.size()) + "q\\\"uote\\\\tab\\t" +
+        json.substr(at + key.size());
+    CorpusCatalog parsed;
+    std::string error;
+    ASSERT_TRUE(parseCatalogJson(hostile, parsed, &error)) << error;
+    EXPECT_EQ(0u, parsed.name.find("q\"uote\\tab\t"));
+    CorpusCatalog again;
+    ASSERT_TRUE(parseCatalogJson(catalogJson(parsed), again, &error))
+        << error;
+    EXPECT_EQ(parsed, again);
+}
+
 TEST(CatalogJson, PreservesFull64BitSeeds)
 {
     // JSON numbers are doubles; seeds above 2^53 only survive the trip

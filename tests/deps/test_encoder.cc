@@ -34,6 +34,18 @@ TEST(PairEncoder, FeaturesWithinCodeRange)
     }
 }
 
+TEST(PairEncoder, DistanceFeatureWrapsFarApartPcs)
+{
+    // PCs half the address space apart: their signed difference does
+    // not fit in 64 bits. The feature wraps around instead of
+    // overflowing, then saturates at the code range.
+    const Pc top = Pc{1} << 63;
+    EXPECT_EQ(PairEncoder::distanceFeature(RawDependence{top, 1, false}),
+              -kCodeRange);
+    EXPECT_EQ(PairEncoder::distanceFeature(RawDependence{1, top, false}),
+              kCodeRange);
+}
+
 TEST(PairEncoder, DistanceFeatureMonotoneInLogDelta)
 {
     const Pc load = 0x401000;

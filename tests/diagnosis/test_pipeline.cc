@@ -131,6 +131,56 @@ TEST_F(PipelineFixture, BuildWeightStoreFallsBackToBase)
     EXPECT_EQ(store.get(2), model.weights);
 }
 
+TEST_F(PipelineFixture, MeasureOverheadReproducesFigure8Rows)
+{
+    // bench/fig8_overhead's rows (default machine, seed-300 trace). No
+    // program switches mode, so light training gives the same cycles
+    // as the bench's full training.
+    struct Row
+    {
+        const char *program;
+        Cycle base_cycles;
+        Cycle act_cycles;
+        Cycle stall_cycles;
+    };
+    const Row rows[] = {
+        {"lu", 10242, 11504, 4954},
+        {"fft", 11392, 12470, 3340},
+        {"radix", 18149, 19427, 4241},
+        {"ocean", 15656, 16125, 2529},
+        {"barnes", 10276, 11249, 2666},
+        {"canneal", 18547, 19481, 3343},
+        {"fluidanimate", 27072, 27267, 1158},
+        {"streamcluster", 11660, 12422, 2477},
+        {"swaptions", 6164, 6826, 1347},
+        {"bzip2", 6146, 6478, 168},
+        {"mcf", 6127, 6623, 332},
+        {"bc", 6082, 6452, 206},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.program);
+        const auto workload = makeWorkload(row.program);
+        PairEncoder encoder;
+        OfflineTrainingConfig training;
+        training.traces = 2;
+        training.max_examples = 4000;
+        training.trainer.max_epochs = 40;
+        const TrainedModel model =
+            offlineTrain(*workload, encoder, training);
+        WorkloadParams params;
+        params.seed = 300;
+        const OverheadMeasurement m = measureOverhead(
+            *workload, model, workload->record(params), SystemConfig{});
+        EXPECT_EQ(m.baseline.cycles, row.base_cycles);
+        EXPECT_EQ(m.act.cycles, row.act_cycles);
+        EXPECT_EQ(m.act.act.stall_cycles, row.stall_cycles);
+        EXPECT_EQ(m.act.act.mode_switches, 0u);
+        EXPECT_EQ(m.overhead,
+                  static_cast<double>(row.act_cycles - row.base_cycles) /
+                      static_cast<double>(row.base_cycles));
+    }
+}
+
 TEST_F(PipelineFixture, DefaultSetupMatchesTableIII)
 {
     const DiagnosisSetup setup = defaultDiagnosisSetup();

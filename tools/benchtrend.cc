@@ -488,20 +488,9 @@ runFig8Mini()
 
     WorkloadParams params;
     params.seed = 300;
-    const Trace trace = workload->record(params);
-
-    SystemConfig config;
-    config.act_enabled = false;
-    System baseline(config);
-    baseline.run(trace);
-
-    config.act_enabled = true;
-    config.act.topology = model.topology;
-    WeightStore store(model.topology);
-    store.setAll(workload->threadCount(), model.weights);
-    System with_act(config, encoder, store);
-    with_act.run(trace);
-    keep(with_act.stats().cycles);
+    keep(measureOverhead(*workload, model, workload->record(params),
+                         SystemConfig{})
+             .act.cycles);
 
     bench::WallClockResult result;
     result.name = "fig8_overhead_mini";
