@@ -1,5 +1,7 @@
 #include "corpus/catalog.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -66,7 +68,13 @@ getNumber(const JsonValue &obj, const char *key, std::uint64_t &out,
                      "'";
         return false;
     }
-    out = value->asU64();
+    const std::optional<std::uint64_t> number = value->asU64();
+    if (!number) {
+        if (error != nullptr)
+            *error = std::string("out-of-range value in '") + key + "'";
+        return false;
+    }
+    out = *number;
     return true;
 }
 
@@ -177,6 +185,11 @@ parseCatalogJson(const std::string &json, CorpusCatalog &out,
         !getNumber(*params, "trigger_phase", trigger, error) ||
         !getNumber(*params, "victim", victim, error))
         return false;
+    if (std::max({threads, phases, trigger, victim}) > UINT32_MAX) {
+        if (error != nullptr)
+            *error = "out-of-range value in 'params'";
+        return false;
+    }
     catalog.threads = static_cast<std::uint32_t>(threads);
     catalog.phases = static_cast<std::uint32_t>(phases);
     catalog.trigger_phase = static_cast<std::uint32_t>(trigger);

@@ -269,11 +269,12 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
-std::uint64_t
+std::optional<std::uint64_t>
 JsonValue::asU64() const
 {
-    if (type != Type::kNumber || number < 0)
-        return 0;
+    // 2^64 is exact as a double; NaN fails both comparisons.
+    if (type != Type::kNumber || !(number >= 0.0 && number < 0x1p64))
+        return std::nullopt;
     return static_cast<std::uint64_t>(number);
 }
 

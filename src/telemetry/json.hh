@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,8 +52,11 @@ struct JsonValue
     /** Member of an object by key; nullptr if absent or not an object. */
     const JsonValue *find(const std::string &key) const;
 
-    /** number as u64 (0 for non-numbers / negatives). */
-    std::uint64_t asU64() const;
+    /**
+     * number as u64, truncated toward zero; nullopt for non-numbers
+     * and for numbers outside [0, 2^64), which no cast can represent.
+     */
+    std::optional<std::uint64_t> asU64() const;
 };
 
 /**

@@ -148,6 +148,18 @@ TEST(ValidateCatalog, RejectsBadPcs)
     catalog = sampleCatalog();
     catalog.site_load_pc = catalog.site_store_pc;
     EXPECT_TRUE(hasCode(validateCatalog(catalogJson(catalog)), "bad-pc"));
+
+    // A PC no uint64_t can hold is a finding, not a cast.
+    catalog = sampleCatalog();
+    std::string json = catalogJson(catalog);
+    const std::string pc = std::to_string(catalog.root_load_pc);
+    const std::size_t at = json.find("\"load_pc\": " + pc);
+    ASSERT_NE(at, std::string::npos) << json;
+    json.replace(json.find(pc, at), pc.size(), "1e30");
+    const auto findings = validateCatalog(json);
+    ASSERT_TRUE(hasCode(findings, "bad-json")) << formatFindings(findings);
+    EXPECT_NE(findings[0].message.find("out-of-range"), std::string::npos)
+        << findings[0].message;
 }
 
 TEST(ValidateCatalog, RejectsBadParams)
@@ -166,6 +178,18 @@ TEST(ValidateCatalog, RejectsBadParams)
     catalog.victim = 0; // The master thread cannot be the victim.
     EXPECT_TRUE(
         hasCode(validateCatalog(catalogJson(catalog)), "bad-params"));
+
+    // 2^32 + threads must not narrow back to a valid thread count.
+    catalog = sampleCatalog();
+    std::string json = catalogJson(catalog);
+    const std::string threads =
+        "\"threads\": " + std::to_string(catalog.threads);
+    const std::size_t at = json.find(threads);
+    ASSERT_NE(at, std::string::npos) << json;
+    json.replace(at, threads.size(),
+                 "\"threads\": " +
+                     std::to_string((1ull << 32) + catalog.threads));
+    EXPECT_TRUE(hasCode(validateCatalog(json), "bad-json"));
 }
 
 TEST(ValidateCatalog, RejectsNameBodyDisagreement)

@@ -118,8 +118,8 @@ inferBatchSpans(const telemetry::SpanTracer &tracer)
             ADD_FAILURE() << "nn.infer_batch span without batch/k args";
             continue;
         }
-        spans.emplace_back(args->find("batch")->asU64(),
-                           args->find("k")->asU64());
+        spans.emplace_back(args->find("batch")->asU64().value(),
+                           args->find("k")->asU64().value());
     }
     return spans;
 }

@@ -63,8 +63,15 @@ TEST(JsonParser, DecodesEscapes)
 TEST(JsonParser, AsU64Semantics)
 {
     EXPECT_EQ(parseJson("42")->asU64(), 42u);
-    EXPECT_EQ(parseJson("-3")->asU64(), 0u);   // negatives clamp
-    EXPECT_EQ(parseJson("\"7\"")->asU64(), 0u); // non-numbers are 0
+    EXPECT_EQ(parseJson("2.9")->asU64(), 2u); // truncates toward zero
+    EXPECT_EQ(parseJson("-3")->asU64(), std::nullopt);
+    EXPECT_EQ(parseJson("\"7\"")->asU64(), std::nullopt);
+    // No cast can hold these; converting them would be UB.
+    EXPECT_EQ(parseJson("[1e30]")->array[0].asU64(), std::nullopt);
+    EXPECT_EQ(parseJson("18446744073709551616")->asU64(), std::nullopt);
+    EXPECT_EQ(parseJson("1e400")->asU64(), std::nullopt);
+    EXPECT_EQ(parseJson("18446744073709549568")->asU64(),
+              18446744073709549568u); // largest double below 2^64
 }
 
 TEST(JsonParser, RejectsMalformedInput)
@@ -100,6 +107,26 @@ TEST(JsonParser, EnforcesDepthLimit)
     too_deep += std::string(80, ']');
     std::string error;
     EXPECT_EQ(parseJson(too_deep, &error), nullptr);
+    EXPECT_FALSE(error.empty());
+
+    // 100,000 levels: refused cleanly, not by recursing once per level.
+    std::string hostile(100000, '[');
+    hostile += std::string(100000, ']');
+    error.clear();
+    EXPECT_EQ(parseJson(hostile, &error), nullptr);
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(BenchJsonTelemetry, DeeplyNestedUnknownKeyIsRejected)
+{
+    // The same depth under an unknown key of a benchmark report (the case
+    // first written for the removed bench-report loader, which read its
+    // files through parseJson): the skipped key is still refused, not
+    // walked one recursion per level.
+    std::string hostile = R"({"schema": "act-bench-trend-v1", "results": [], "x": )";
+    hostile += std::string(100000, '[') + std::string(100000, ']') + "}";
+    std::string error;
+    EXPECT_EQ(parseJson(hostile, &error), nullptr);
     EXPECT_FALSE(error.empty());
 }
 

@@ -161,7 +161,7 @@ TEST(SpanTracer, TimestampsMonotonePerThread)
         if (phase->text == "M")
             continue;
         ++timed;
-        const std::uint64_t tid = event.find("tid")->asU64();
+        const std::uint64_t tid = event.find("tid")->asU64().value();
         const double ts = event.find("ts")->number;
         const auto it = last_ts.find(tid);
         if (it != last_ts.end())

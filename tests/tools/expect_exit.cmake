@@ -1,9 +1,11 @@
-# Run `${ACTLINT} report ${REPORT_DIR}` and fail unless it exits with
+# Run `${TOOL} ${SUBCOMMAND} ${INPUT}` and fail unless it exits with
 # ${EXPECTED}. A crash yields a signal description instead of an exit
-# code, so it fails as well.
-execute_process(COMMAND ${ACTLINT} report ${REPORT_DIR}
-                RESULT_VARIABLE result)
-if(NOT result STREQUAL EXPECTED)
+# code, so it fails as well; so does a sanitizer report, whose abort
+# can exit with the expected code.
+execute_process(COMMAND ${TOOL} ${SUBCOMMAND} ${INPUT}
+                RESULT_VARIABLE result ERROR_VARIABLE stderr)
+if(NOT result STREQUAL EXPECTED OR stderr MATCHES "runtime error|Sanitizer")
     message(FATAL_ERROR
-        "actlint report ${REPORT_DIR}: got '${result}', want ${EXPECTED}")
+        "${SUBCOMMAND} ${INPUT}: got '${result}', want ${EXPECTED}\n"
+        "${stderr}")
 endif()

@@ -6,9 +6,6 @@
  *   run        stream the configured client fleet through the shard
  *              pipeline and print the final diagnosis report (epoch
  *              reports go to stdout when --epoch > 0)
- *   bench      same, but duration-driven by default, and prints a
- *              machine-readable throughput line (events/s) plus the
- *              fleet telemetry counters
  *   validate   determinism gate: the final report of the streaming
  *              service must be byte-identical across --shards and
  *              --shards 1 AND to the sequential batch replay of the
@@ -65,7 +62,7 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: actfleet <run|bench|validate> [flags]\n"
+        "usage: actfleet <run|validate> [flags]\n"
         "  --clients N --shards N --seed S --workload NAME --scale N\n"
         "  --repeat N --duration SECS --epoch SECS\n"
         "  --backpressure block|shed --block-events N --queue-blocks N\n"
@@ -174,40 +171,6 @@ cmdRun(const FleetConfig &config)
 }
 
 int
-cmdBench(FleetConfig config)
-{
-    // Bench defaults: duration-driven unless the caller pinned one, so
-    // throughput is measured over a steady streaming window.
-    if (config.duration_s <= 0.0 && config.repeat == 1)
-        config.repeat = 0, config.duration_s = 2.0;
-
-    const FleetResult result = runFleetService(config, nullptr);
-    const double events_per_s =
-        result.wall_s > 0.0
-            ? static_cast<double>(result.report.totals.events) /
-                  result.wall_s
-            : 0.0;
-    std::printf("fleet_events_per_s %.0f\n", events_per_s);
-    std::printf("fleet_events %llu\nfleet_wall_s %.3f\n",
-                static_cast<unsigned long long>(
-                    result.report.totals.events),
-                result.wall_s);
-    std::printf("fleet_dropped_events %llu\nfleet_dropped_blocks %llu\n",
-                static_cast<unsigned long long>(
-                    result.report.totals.events_dropped),
-                static_cast<unsigned long long>(
-                    result.report.totals.blocks_dropped));
-
-    const auto snapshot = telemetry::MetricsRegistry::global().snapshot();
-    for (const auto &[name, value] : snapshot.volatile_counters) {
-        if (name.rfind("fleet.", 0) == 0)
-            std::printf("%s %llu\n", name.c_str(),
-                        static_cast<unsigned long long>(value));
-    }
-    return kExitOk;
-}
-
-int
 cmdValidate(FleetConfig config)
 {
     // The contract only holds for lossless, repeat-bounded streaming.
@@ -271,8 +234,6 @@ run(int argc, char **argv)
 
     if (command == "run")
         return cmdRun(config);
-    if (command == "bench")
-        return cmdBench(config);
     if (command == "validate")
         return cmdValidate(config);
     usage();

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -61,22 +62,11 @@ snapshotFromJson(const JsonValue &root, Snapshot &snap,
         uptime != nullptr && uptime->isNumber()) {
         snap.uptime_ms = uptime->number;
     }
-    const auto scalars = [&error](const JsonValue &section,
-                                  const char *name, auto &&store) {
-        if (!section.isObject()) {
-            error = std::string("section \"") + name +
-                    "\" is not an object";
-            return false;
-        }
-        for (const auto &[key, value] : section.object) {
-            if (!value.isNumber()) {
-                error = std::string("non-numeric value in \"") + name +
-                        "\"";
-                return false;
-            }
-            store(key, value);
-        }
-        return true;
+    const auto outOfRange = [&error](const std::string &key,
+                                     const char *section) {
+        error = "out-of-range value for \"" + key + "\" in \"" +
+                section + "\"";
+        return false;
     };
     for (const char *name : {"counters", "volatile", "gauges"}) {
         const JsonValue *section = root.find(name);
@@ -84,19 +74,32 @@ snapshotFromJson(const JsonValue &root, Snapshot &snap,
             error = std::string("missing section \"") + name + "\"";
             return false;
         }
-        const bool ok = scalars(
-            *section, name,
-            [&snap, name](const std::string &key, const JsonValue &v) {
-                if (std::strcmp(name, "counters") == 0)
-                    snap.counters[key] = v.asU64();
-                else if (std::strcmp(name, "volatile") == 0)
-                    snap.volatile_counters[key] = v.asU64();
-                else
-                    snap.gauges[key] =
-                        static_cast<std::int64_t>(v.number);
-            });
-        if (!ok)
+        if (!section->isObject()) {
+            error = std::string("section \"") + name +
+                    "\" is not an object";
             return false;
+        }
+        for (const auto &[key, value] : section->object) {
+            if (!value.isNumber()) {
+                error = std::string("non-numeric value in \"") + name +
+                        "\"";
+                return false;
+            }
+            if (std::strcmp(name, "gauges") == 0) {
+                // [-2^63, 2^63) is exactly what int64 can hold.
+                if (!(value.number >= -0x1p63 && value.number < 0x1p63))
+                    return outOfRange(key, name);
+                snap.gauges[key] = static_cast<std::int64_t>(value.number);
+                continue;
+            }
+            const std::optional<std::uint64_t> count = value.asU64();
+            if (!count)
+                return outOfRange(key, name);
+            if (std::strcmp(name, "counters") == 0)
+                snap.counters[key] = *count;
+            else
+                snap.volatile_counters[key] = *count;
+        }
     }
     const JsonValue *hists = root.find("histograms");
     if (hists == nullptr || !hists->isObject()) {
@@ -105,19 +108,28 @@ snapshotFromJson(const JsonValue &root, Snapshot &snap,
     }
     for (const auto &[key, cell] : hists->object) {
         telemetry::HistogramSnapshot hist;
-        if (const JsonValue *count = cell.find("count"))
-            hist.count = count->asU64();
-        if (const JsonValue *sum = cell.find("sum"))
-            hist.sum = sum->asU64();
+        const auto field = [&cell](const char *field_name,
+                                   std::uint64_t &out) {
+            const JsonValue *value = cell.find(field_name);
+            if (value == nullptr)
+                return true;
+            const std::optional<std::uint64_t> number = value->asU64();
+            out = number.value_or(0);
+            return number.has_value();
+        };
+        if (!field("count", hist.count) || !field("sum", hist.sum))
+            return outOfRange(key, "histograms");
         if (const JsonValue *buckets = cell.find("buckets");
             buckets != nullptr && buckets->isArray()) {
             for (const JsonValue &pair : buckets->array) {
-                if (pair.isArray() && pair.array.size() == 2) {
-                    hist.buckets.emplace_back(
-                        static_cast<std::uint32_t>(
-                            pair.array[0].asU64()),
-                        pair.array[1].asU64());
-                }
+                if (!pair.isArray() || pair.array.size() != 2)
+                    continue;
+                const auto bucket = pair.array[0].asU64();
+                const auto count = pair.array[1].asU64();
+                if (!bucket || *bucket > 64 || !count)
+                    return outOfRange(key, "histograms");
+                hist.buckets.emplace_back(
+                    static_cast<std::uint32_t>(*bucket), *count);
             }
         }
         snap.histograms[key] = std::move(hist);
@@ -262,7 +274,12 @@ validateTrace(const JsonValue &root, std::string &error)
                     "(name: " + name->text + ")";
             return false;
         }
-        const std::uint64_t thread = tid->asU64();
+        const std::optional<std::uint64_t> tid_value = tid->asU64();
+        if (!tid_value) {
+            error = "out-of-range \"tid\" (name: " + name->text + ")";
+            return false;
+        }
+        const std::uint64_t thread = *tid_value;
         const auto it = last_ts.find(thread);
         if (it != last_ts.end() && ts->number < it->second) {
             error = "ts not monotone within tid " +
