@@ -1,11 +1,39 @@
 #include "sim/memsys.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "common/logging.hh"
 
 namespace act
 {
+
+namespace
+{
+
+#ifndef NDEBUG
+/**
+ * Debug builds fill a fresh writer arena with this record. Its PC is
+ * neither kInvalidPc nor one a workload emits, so a record still equal
+ * to it was read before its line was filled.
+ */
+constexpr WriterRecord kUnfilled{0xdeadbeefdeadbeefULL, 0xdeadbeefU};
+#endif
+
+/** Assert (debug builds only) that @p n records were all filled. */
+inline void
+checkFilled([[maybe_unused]] const WriterRecord *records,
+            [[maybe_unused]] std::size_t n)
+{
+#ifndef NDEBUG
+    for (std::size_t i = 0; i < n; ++i) {
+        ACT_ASSERT(records[i].pc != kUnfilled.pc ||
+                   records[i].tid != kUnfilled.tid);
+    }
+#endif
+}
+
+} // namespace
 
 const char *
 mesiName(Mesi state)
@@ -53,7 +81,16 @@ MemorySystem::MemorySystem(const MemSystemConfig &config)
         const auto l2_entries =
             static_cast<std::size_t>(l2_sets) * config_.l2_assoc;
         l2_[c].lines.resize(l2_entries);
-        l2_[c].writers.assign(l2_entries * words_, WriterRecord{});
+        // WriterRecord is an implicit-lifetime aggregate, so malloc'd
+        // storage holds records without running their initialisers.
+        const std::size_t records = l2_entries * words_;
+        l2_[c].writers.reset(static_cast<WriterRecord *>(
+            std::malloc(records * sizeof(WriterRecord))));
+        if (!l2_[c].writers)
+            throw std::bad_alloc();
+#ifndef NDEBUG
+        std::fill_n(l2_[c].writers.get(), records, kUnfilled);
+#endif
 
         l1_[c].sets = l1_sets;
         l1_[c].assoc = config_.l1_assoc;
@@ -102,7 +139,6 @@ MemorySystem::victimLine(CoreId core, Addr line_addr)
     ++stats_.evictions;
     l1Invalidate(core, victim->tag);
     victim->state = Mesi::kInvalid;
-    std::fill_n(lineWriters(array, victim), words_, WriterRecord{});
     return *victim;
 }
 
@@ -190,6 +226,7 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
                 mem[word] = writers[word];
             }
         } else {
+            checkFilled(&writers[word], 1);
             result.last_writer =
                 writers[word].valid()
                     ? std::optional<WriterRecord>(writers[word])
@@ -232,8 +269,6 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
             }
             if (is_store) {
                 remote->state = Mesi::kInvalid;
-                std::fill_n(lineWriters(l2_[c], remote), words_,
-                            WriterRecord{});
                 l1Invalidate(c, laddr);
                 ++stats_.invalidations;
             } else if (remote->state == Mesi::kModified ||
@@ -247,6 +282,9 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     Line &dest = upgrade ? *line : victimLine(core, laddr);
     WriterRecord *dest_writers = lineWriters(l2_[core], &dest);
     if (!upgrade) {
+        // The fill: the only place a line's records are (re)written
+        // wholesale. Eviction, invalidation and reset() leave them
+        // stale, and nothing reads a record of an invalid line.
         dest.tag = laddr;
         std::fill_n(dest_writers, words_, WriterRecord{});
     }
@@ -260,16 +298,18 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     bool piggybacked = false;
     if (owner != nullptr && !is_store &&
         (owner_was_modified || config_.always_piggyback_writer)) {
-        std::copy_n(lineWriters(l2_[owner_core], owner), words_,
-                    dest_writers);
+        const WriterRecord *source = lineWriters(l2_[owner_core], owner);
+        checkFilled(source, words_);
+        std::copy_n(source, words_, dest_writers);
         piggybacked = true;
     } else if (!is_store && config_.always_piggyback_writer) {
         for (CoreId c = 0; c < config_.cores && !piggybacked; ++c) {
             if (c == core)
                 continue;
             if (Line *remote = findLine(c, laddr)) {
-                std::copy_n(lineWriters(l2_[c], remote), words_,
-                            dest_writers);
+                const WriterRecord *source = lineWriters(l2_[c], remote);
+                checkFilled(source, words_);
+                std::copy_n(source, words_, dest_writers);
                 piggybacked = true;
             }
         }
@@ -277,9 +317,10 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     if (!piggybacked && !is_store && config_.writeback_writer_metadata) {
         if (const auto it = memory_writers_.find(laddr);
             it != memory_writers_.end()) {
-            std::copy_n(it->second.data(),
-                        std::min<std::size_t>(it->second.size(), words_),
-                        dest_writers);
+            const std::size_t n =
+                std::min<std::size_t>(it->second.size(), words_);
+            checkFilled(it->second.data(), n);
+            std::copy_n(it->second.data(), n, dest_writers);
             piggybacked = true;
         }
     }
@@ -296,6 +337,7 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
             piggybacked = false;
             break;
         case WriterFaultAction::kStale:
+            checkFilled(dest_writers, words_);
             for (std::uint32_t w = 0; w < words_; ++w) {
                 if (dest_writers[w].valid())
                     dest_writers[w].pc ^= Pc{0x1000};
@@ -324,6 +366,7 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
         }
     } else {
         dest.state = any_sharer ? Mesi::kShared : Mesi::kExclusive;
+        checkFilled(&dest_writers[word], 1);
         if (piggybacked && dest_writers[word].valid())
             result.last_writer = dest_writers[word];
         if (result.last_writer)
@@ -351,8 +394,6 @@ MemorySystem::reset()
     for (auto &array : l2_) {
         for (auto &line : array.lines)
             line.state = Mesi::kInvalid;
-        std::fill(array.writers.begin(), array.writers.end(),
-                  WriterRecord{});
     }
     for (auto &array : l1_)
         std::fill(array.valid.begin(), array.valid.end(), 0);

@@ -18,6 +18,8 @@
 #define ACT_SIM_MEMSYS_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -170,13 +172,23 @@ class MemorySystem
         std::uint64_t lru = 0;
     };
 
+    struct FreeDeleter
+    {
+        void operator()(WriterRecord *p) const { std::free(p); }
+    };
+
     struct CacheArray
     {
         std::uint32_t sets = 0;
         std::uint32_t assoc = 0;
         std::vector<Line> lines; //!< sets * assoc, set-major.
-        /** Last writer per word, lines * words, line-major. */
-        std::vector<WriterRecord> writers;
+        /**
+         * Last writer per word, lines * words, line-major. Allocated
+         * uninitialised: a line's block is written when the line is
+         * filled and read only while the line is valid, so pages of
+         * lines never filled are never touched.
+         */
+        std::unique_ptr<WriterRecord[], FreeDeleter> writers;
     };
 
     struct L1Array
@@ -203,7 +215,7 @@ class MemorySystem
     WriterRecord *
     lineWriters(CacheArray &array, const Line *line)
     {
-        return array.writers.data() +
+        return array.writers.get() +
                static_cast<std::size_t>(line - array.lines.data()) *
                    words_;
     }

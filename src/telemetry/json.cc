@@ -1,9 +1,11 @@
 #include "telemetry/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <system_error>
 
 namespace act::telemetry
 {
@@ -244,9 +246,8 @@ class Parser
                 return fail("expected digits in exponent");
         }
         out.type = JsonValue::Type::kNumber;
-        out.number =
-            std::strtod(input_.substr(start, pos_ - start).c_str(),
-                        nullptr);
+        out.text = input_.substr(start, pos_ - start);
+        out.number = std::strtod(out.text.c_str(), nullptr);
         return true;
     }
 
@@ -272,8 +273,16 @@ JsonValue::find(const std::string &key) const
 std::optional<std::uint64_t>
 JsonValue::asU64() const
 {
+    if (type != Type::kNumber)
+        return std::nullopt;
+    // An integer literal converts from its text, not the rounded double.
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc() && ptr == end)
+        return value;
     // 2^64 is exact as a double; NaN fails both comparisons.
-    if (type != Type::kNumber || !(number >= 0.0 && number < 0x1p64))
+    if (!(number >= 0.0 && number < 0x1p64))
         return std::nullopt;
     return static_cast<std::uint64_t>(number);
 }

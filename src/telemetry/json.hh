@@ -39,7 +39,7 @@ struct JsonValue
     Type type = Type::kNull;
     bool boolean = false;
     double number = 0.0;
-    std::string text;
+    std::string text; //!< String contents; a number's literal as written.
     std::vector<JsonValue> array;
     std::vector<std::pair<std::string, JsonValue>> object;
 
@@ -55,6 +55,8 @@ struct JsonValue
     /**
      * number as u64, truncated toward zero; nullopt for non-numbers
      * and for numbers outside [0, 2^64), which no cast can represent.
+     * An integer literal converts exactly, even above 2^53 where the
+     * double cannot hold it.
      */
     std::optional<std::uint64_t> asU64() const;
 };

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hashing.hh"
 #include "sim/memsys.hh"
 
 namespace act
@@ -219,6 +220,209 @@ TEST(MemorySystem, ResetClearsCachesNotStats)
     EXPECT_EQ(a.level, AccessLevel::kMemory);
     EXPECT_FALSE(a.last_writer.has_value());
     EXPECT_EQ(mem.stats().stores, 1u);
+}
+
+/**
+ * Stale-record pins: a line's writer records are written only when the
+ * line is filled, so nothing a line held before it was dropped (by
+ * reset(), eviction or a remote invalidation) may ever surface.
+ */
+class MemStaleRecords : public ::testing::TestWithParam<Granularity>
+{
+  protected:
+    MemSystemConfig
+    config() const
+    {
+        MemSystemConfig c = smallConfig();
+        c.writer_granularity = GetParam();
+        return c;
+    }
+};
+
+TEST_P(MemStaleRecords, ResetDropsEveryWordsWriter)
+{
+    MemorySystem mem(config());
+    for (Addr w = 0; w < 8; ++w)
+        mem.access(0, store(0, 0x30 + w, 0x1000 + w * 4));
+    mem.reset();
+    // The first load refills the line from memory; the second hits it
+    // and reads the records the fill wrote.
+    for (int pass = 0; pass < 2; ++pass) {
+        for (Addr w = 0; w < 8; ++w) {
+            const MemAccess a =
+                mem.access(0, load(0, 0x40, 0x1000 + w * 4));
+            EXPECT_FALSE(a.last_writer.has_value()) << "word " << w;
+        }
+    }
+}
+
+TEST_P(MemStaleRecords, RefilledSetHasNoWriters)
+{
+    MemSystemConfig c = config();
+    c.l1_bytes = 256; // 4 lines
+    c.l1_assoc = 1;
+    c.l2_bytes = 1024; // 16 lines, 8 sets x 2 ways
+    c.l2_assoc = 2;
+    MemorySystem mem(c);
+    const Addr stride = 8 * 64; // Same set, next tag.
+    for (Addr way = 0; way < 2; ++way) {
+        for (Addr w = 0; w < 4; ++w)
+            mem.access(0, store(0, 0x30 + w, way * stride + w * 4));
+    }
+    // Evict the whole set with loads, then bring the stored lines back
+    // from memory; every fill reuses a slot whose records were written.
+    for (Addr tag = 2; tag < 6; ++tag) {
+        for (int pass = 0; pass < 2; ++pass) {
+            const MemAccess a = mem.access(0, load(0, 0x40, tag * stride));
+            EXPECT_FALSE(a.last_writer.has_value()) << "tag " << tag;
+        }
+    }
+    EXPECT_GE(mem.stats().evictions, 2u);
+    for (Addr way = 0; way < 2; ++way) {
+        for (int pass = 0; pass < 2; ++pass) {
+            for (Addr w = 0; w < 4; ++w) {
+                const MemAccess a =
+                    mem.access(0, load(0, 0x40, way * stride + w * 4));
+                EXPECT_EQ(a.level == AccessLevel::kMemory, pass == 0 &&
+                                                               w == 0);
+                EXPECT_FALSE(a.last_writer.has_value())
+                    << "way " << way << " word " << w;
+            }
+        }
+    }
+}
+
+TEST_P(MemStaleRecords, InvalidatedLineDropsWriters)
+{
+    MemorySystem mem(config());
+    for (Addr w = 0; w < 4; ++w)
+        mem.access(0, store(0, 0x30 + w, 0x1000 + w * 4));
+    mem.access(1, store(1, 0x50, 0x1000)); // Invalidates core 0's copy.
+    EXPECT_EQ(mem.stateOf(0, 0x1000), Mesi::kInvalid);
+
+    // A third core reads the line from its dirty owner: the only writer
+    // it may see is core 1's store, never core 0's.
+    for (Addr w = 0; w < 4; ++w) {
+        const MemAccess a = mem.access(2, load(2, 0x60, 0x1000 + w * 4));
+        if (a.last_writer) {
+            EXPECT_EQ(a.last_writer->pc, 0x50u) << "word " << w;
+        }
+        EXPECT_EQ(a.last_writer.has_value(),
+                  w == 0 || GetParam() == Granularity::kLine);
+    }
+    // Core 0 refills into the slot that still held its own records; no
+    // dirty owner is left, so nothing is piggybacked.
+    for (int pass = 0; pass < 2; ++pass) {
+        for (Addr w = 0; w < 4; ++w) {
+            const MemAccess a =
+                mem.access(0, load(0, 0x40, 0x1000 + w * 4));
+            EXPECT_FALSE(a.last_writer.has_value()) << "word " << w;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Granularities, MemStaleRecords,
+    ::testing::Values(Granularity::kWord, Granularity::kLine),
+    [](const ::testing::TestParamInfo<Granularity> &info) {
+        return info.param == Granularity::kWord ? "Word" : "Line";
+    });
+
+/** Seeded fault plan: drops or corrupts one transfer in three. */
+class SeededWriterFaults final : public FaultHooks
+{
+  public:
+    WriterFaultAction
+    onWriterTransfer() override
+    {
+        switch (mix64(++draws_) % 6) {
+          case 0: return WriterFaultAction::kDrop;
+          case 1: return WriterFaultAction::kStale;
+          default: return WriterFaultAction::kNone;
+        }
+    }
+    bool dropInputDependence() override { return false; }
+    bool dropDebugLog() override { return false; }
+
+  private:
+    std::uint64_t draws_ = 0;
+};
+
+/**
+ * Differential pin of the whole access path: a seeded stream of loads,
+ * stores and lock read-modify-writes from four cores through a small L2
+ * (so lines are evicted), with one reset() midway, under every
+ * granularity, metadata policy and fault plan. Mixes every MemAccess
+ * field and the final statistics of each configuration.
+ */
+TEST(MemSystemDifferential, AccessStreamMatchesGoldenHash)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    for (const Granularity granularity :
+         {Granularity::kWord, Granularity::kLine}) {
+        for (int policy = 0; policy < 3; ++policy) {
+            for (const bool faulty : {false, true}) {
+                SeededWriterFaults faults;
+                MemSystemConfig c = smallConfig();
+                c.l1_bytes = 512;
+                c.l1_assoc = 2;
+                c.l2_bytes = 2048; // 32 lines, 8 sets x 4 ways
+                c.l2_assoc = 4;
+                c.writer_granularity = granularity;
+                c.writeback_writer_metadata = policy == 1;
+                c.always_piggyback_writer = policy == 2;
+                c.faults = faulty ? &faults : nullptr;
+                MemorySystem mem(c);
+
+                std::uint64_t seed = 0x3e3a11ULL;
+                const auto run = [&](const TraceEvent &e, CoreId core) {
+                    const MemAccess a = mem.access(core, e);
+                    mix(static_cast<std::uint64_t>(a.level));
+                    mix(static_cast<std::uint64_t>(a.prior_state));
+                    mix(a.latency);
+                    mix(a.l1_hit ? 1 : 0);
+                    mix(a.last_writer ? a.last_writer->pc : kInvalidPc);
+                    mix(a.last_writer ? a.last_writer->tid : kInvalidThread);
+                };
+                for (std::uint64_t i = 0; i < 6000; ++i) {
+                    if (i == 3000)
+                        mem.reset();
+                    seed = mix64(seed + i);
+                    const auto core = static_cast<CoreId>(seed % 4);
+                    const auto tid = static_cast<ThreadId>(core);
+                    // 96 lines over 8 sets: heavy sharing and eviction.
+                    const Addr addr = ((seed >> 8) % 96) * 64 +
+                                      ((seed >> 16) % 16) * 4;
+                    const Pc pc = 0x100 + (seed >> 24) % 64;
+                    switch ((seed >> 32) % 8) {
+                      case 0: // Lock RMW: read, then write, one word.
+                        run(load(tid, pc, addr), core);
+                        run(store(tid, pc + 1, addr), core);
+                        break;
+                      case 1:
+                      case 2:
+                      case 3:
+                        run(store(tid, pc, addr), core);
+                        break;
+                      default:
+                        run(load(tid, pc, addr), core);
+                        break;
+                    }
+                }
+                const MemSystemStats &s = mem.stats();
+                EXPECT_GT(s.evictions, 0u);
+                EXPECT_GT(s.invalidations, 0u);
+                EXPECT_GT(s.writer_known, 0u);
+                for (const std::uint64_t v :
+                     {s.loads, s.stores, s.l1_hits, s.l2_hits,
+                      s.cache_to_cache, s.memory_fetches, s.invalidations,
+                      s.evictions, s.writer_known, s.writer_unknown})
+                    mix(v);
+            }
+        }
+    }
+    EXPECT_EQ(h, 0x14912f398b6fe948ULL);
 }
 
 /** Line-size sweep (Table III: 4..128 B). */

@@ -74,6 +74,16 @@ TEST(JsonParser, AsU64Semantics)
               18446744073709549568u); // largest double below 2^64
 }
 
+TEST(JsonParser, AsU64KeepsIntegerLiteralsExact)
+{
+    // Above 2^53 a double rounds odd integers away.
+    EXPECT_EQ(parseJson("9007199254740993")->asU64(), 9007199254740993u);
+    EXPECT_EQ(parseJson("[18446744073709551615]")->array[0].asU64(),
+              18446744073709551615u);
+    EXPECT_EQ(parseJson("9007199254740993.0")->asU64(),
+              9007199254740992u); // not an integer literal: via double
+}
+
 TEST(JsonParser, RejectsMalformedInput)
 {
     std::string error;
